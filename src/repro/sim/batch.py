@@ -176,21 +176,16 @@ class _DataOpDriver:
                 immediate.append(i)
             else:
                 window.acquire().callbacks.append(
-                    lambda _ev, i=i: self._granted_one(i)
+                    lambda _ev, i=i: self._granted_group((i,))
                 )
         if immediate:
             self._granted_group(tuple(immediate))
 
-    def _granted_one(self, i: int) -> None:
-        """A queued piece's FIFO grant fired: pay the RPC latency and
-        dispatch solo (the sharded driver posts to the router instead)."""
-        self.session.env.after(
-            self.session.node.params.rpc_latency,
-            lambda _ev: self._dispatch((i,)),
-        )
-
     def _granted_group(self, group: tuple[int, ...]) -> None:
-        """Pieces granted at begin-time share one rpc_latency timeout."""
+        """Pay one RPC latency for pieces granted together, then dispatch.
+
+        Pieces granted at begin-time share one timeout; a queued piece's
+        FIFO grant fires on its own and dispatches solo."""
         self.session.env.after(
             self.session.node.params.rpc_latency,
             lambda _ev: self._dispatch(group),
@@ -290,15 +285,6 @@ class BatchSession(ClientSession):
     ``AllOf`` over per-RPC processes.
     """
 
-    #: Driver walking one data op's pieces; the sharded root cluster
-    #: substitutes a router-posting driver (repro.sim.shard) here.
-    driver_class = _DataOpDriver
-
-    #: Extra attributes stamped onto every op span; the sharded session
-    #: marks its spans ``sharded=True`` so a merged multi-domain trace
-    #: distinguishes root-posted ops from legacy in-process ones.
-    span_attrs: dict = {}
-
     def _data_op(self, op: OpType, path: str, offset: int, size: int):
         yield self._data_fast(op, path, offset, size)
 
@@ -310,12 +296,11 @@ class BatchSession(ClientSession):
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
             path=path, offset=offset, size=size, batched=True,
-            **self.span_attrs,
         ) if tracer is not None else None
         req = BatchRequest.from_extent(f, op, path, offset, size,
                                        self.node.params.max_rpc_bytes)
         done = Event(self.env)
-        self.driver_class(self, req, f, start, done, span).begin()
+        _DataOpDriver(self, req, f, start, done, span).begin()
         return done
 
     def _meta_op(self, op: OpType, path: str, parent: str):
@@ -329,7 +314,7 @@ class BatchSession(ClientSession):
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, batched=True, **self.span_attrs,
+            path=path, batched=True,
         ) if tracer is not None else None
         done = Event(env)
 

@@ -155,8 +155,8 @@ class BurstBufferedSession:
 
         The hidden drain session comes from the cluster's session
         factory, so drain traffic follows the active request path
-        (event, batch or sharded) instead of always taking the
-        per-request event path.
+        (event or batch) instead of always taking the per-request event
+        path.
         """
         node = session.node
         drain = node.cluster.session(f"{session.job}-bbdrain",

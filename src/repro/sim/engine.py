@@ -287,51 +287,6 @@ class Environment:
 
     # -- execution --------------------------------------------------------
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``+inf`` when idle.
-
-        The sharded executor's barrier computation: a conservative window
-        may only extend to the minimum ``peek()`` across every shard
-        environment (plus lookahead), so the queue head must be readable
-        without firing anything.  It is also the adaptive window policy's
-        safety proof: a queue whose head clears a span cannot schedule
-        anything *into* that span (events never schedule into the past),
-        so ``peek() >= end`` proves the environment quiet through ``end``.
-        """
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def quiet_until(self, end: float, inclusive: bool = False) -> bool:
-        """True when nothing can fire inside ``[now, end)`` (``[now, end]``
-        when ``inclusive``) — the peek-ahead query behind barrier elision:
-        a quiet environment needs no window run at all."""
-        if not self._queue:
-            return True
-        head = self._queue[0][0]
-        return head > end if inclusive else head >= end
-
-    def run_to(self, end: float, tracer=None, inclusive: bool = False) -> int:
-        """Fire every event scheduled before ``end`` (through ``end`` when
-        ``inclusive``) and return how many fired.
-
-        The sharded executor's window primitive: unlike :meth:`run` it
-        never advances ``now`` past the last fired event, so a domain can
-        be driven through a window without its clock jumping to the
-        window end (injections after the window compute their delays from
-        the true last-event time).
-        """
-        queue = self._queue
-        step = self._step
-        fired = 0
-        if inclusive:
-            while queue and queue[0][0] <= end:
-                step(queue, tracer)
-                fired += 1
-        else:
-            while queue and queue[0][0] < end:
-                step(queue, tracer)
-                fired += 1
-        return fired
-
     def step(self) -> None:
         """Fire the next scheduled event and run its callbacks."""
         self._step(self._queue, _trace.TRACER)

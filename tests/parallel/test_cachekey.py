@@ -5,6 +5,7 @@ from dataclasses import replace
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.parallel.cachekey import (
     canonical_json,
+    dataset_shard_key,
     run_key,
     run_key_material,
     stable_hash,
@@ -102,3 +103,21 @@ def test_material_is_json_serialisable():
     text = json.dumps(material, sort_keys=True)
     assert "ior-easy-write" in text
     assert "window_size" not in text
+
+
+def test_golden_keys_are_pinned():
+    """Pinned hex keys of one baseline and one interfered job.
+
+    Any change to key material re-keys every existing ``.runcache`` and
+    ``.dataset`` entry, so it must come with a ``CACHE_FORMAT`` or
+    ``DATASET_FORMAT`` bump and a deliberate update of these values.
+    """
+    assert run_key(target(), (), small_config()) == \
+        "0db6d359331b006ed17f8850f79ec8ccb71e75b1"
+    assert run_key(target(), NOISE, small_config(), seed_salt="s") == \
+        "d66ac7d612d7423d30306b54ad2d536ecaf66c4d"
+    assert dataset_shard_key(target(), (), small_config()) == \
+        "b2267746e59c2c76998981e0c5b7c82197707e20"
+    assert dataset_shard_key(target(), NOISE, small_config(),
+                             seed_salt="s") == \
+        "8237a978cc448c79e63c9ef5f907a76f7da2e78b"

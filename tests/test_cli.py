@@ -340,48 +340,3 @@ def test_serve_end_to_end_with_saved_model(tmp_path, capsys):
     assert doc["n_tenants"] == 6
     assert sum(doc["terminal"].values()) == 6
     assert metrics.exists()
-
-
-def test_shards_zero_rejected(capsys):
-    assert main(["table2", "--shards", "0"]) == 2
-    assert "--shards must be a positive integer" in capsys.readouterr().err
-
-
-def test_shards_clamped_to_domain_count(capsys):
-    """--shards beyond the OSS domain count prints the clamp note (and
-    here stops at the next validation error, so nothing actually runs)."""
-    assert main(["table2", "--shards", "999", "--run-timeout", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "clamping" in err
-    assert "--shards 999 exceeds" in err
-
-
-def test_window_policy_requires_shards(capsys):
-    assert main(["table2", "--window-policy", "adaptive"]) == 2
-    assert "--window-policy requires --shards" in capsys.readouterr().err
-
-
-def test_window_policy_bad_spec_rejected(capsys):
-    assert main(["table2", "--shards", "2",
-                 "--window-policy", "eager"]) == 2
-    assert "bad --window-policy spec" in capsys.readouterr().err
-
-
-def test_window_policy_cap_vs_sample_interval(capsys):
-    """A cap at or above the experiment sample_interval can never be
-    proven safe, so it fails at arg-parse time with the reason."""
-    assert main(["table2", "--fast", "--shards", "2",
-                 "--window-policy", "adaptive:cap=0.125"]) == 2
-    err = capsys.readouterr().err
-    assert "cap must be < the experiment sample_interval" in err
-
-
-def test_window_policy_valid_specs_pass_parsing(capsys):
-    """Valid specs get past --window-policy validation (and stop at the
-    next validation error, so nothing actually runs)."""
-    for spec in ("fixed", "adaptive", "adaptive:cap=0.01"):
-        assert main(["table2", "--shards", "2", "--window-policy", spec,
-                     "--run-timeout", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert "window-policy" not in err
-        assert "--run-timeout" in err
