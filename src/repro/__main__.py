@@ -20,10 +20,11 @@ Usage::
 
 Simulator backend: ``--sim-backend batch`` routes every client burst
 through the vectorised :mod:`repro.sim.batch` request path (one engine
-event per batch instead of one process per striped RPC) with bit-
-identical window vectors and labels; ``event`` (default) is the
-per-request generator path. The backend is part of the run-cache key,
-so the two never share cache entries.
+event per batch instead of one process per striped RPC); ``event``
+(default) is the per-request generator path. The two agree bit for bit
+under single-instance noise; with several noise instances contending on
+the MDS they currently diverge (ROADMAP item 1). The backend is part of
+the run-cache key, so the two never share cache entries.
 
 Fault injection and resilience: ``--faults 'drop=0.2,kill=0.1,seed=1'``
 attaches a deterministic :class:`repro.faults.FaultPlan` to the sweep
@@ -37,20 +38,19 @@ instead of crashing.
 the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
 write one text file per experiment.
 
-Sweep execution: ``--jobs N`` fans independent simulation runs over N
-worker processes (``--jobs 0`` = all cores) with bit-identical results;
-runs persist in a content-addressed cache (``--cache-dir``, default
-``results/.runcache``) so e.g. ``fig4`` re-bins ``fig3``'s cached IO500
-sweep and a re-run after a training-side change simulates nothing.
-``--no-cache`` disables persistence.
+Sweep and training execution: ``--jobs N`` fans independent simulation
+runs, training restarts and grid cells over N worker processes with
+bit-identical results.
 
-Training execution mirrors it: the same ``--jobs`` fans independent
-training restarts and grid cells over worker processes (bit-identical to
-the serial restart loop), and trained models persist in a
-content-addressed model cache (``--model-cache-dir``, default
-``results/.modelcache``) keyed by dataset digest + training recipe, so a
-warm re-run of a model experiment trains nothing. ``--no-model-cache``
-disables it.
+Caching: one content-addressed artifact cache (``--cache-dir``, default
+``results/.cache``) holds three namespaces — simulated runs
+(``runs/``), labelled window shards (``windows/``) and trained models
+(``models/``) — so e.g. ``fig4`` re-bins ``fig3``'s cached IO500 sweep,
+a grown grid simulates only its new pairs, and a warm re-run of a model
+experiment trains nothing. Every entry is written to a private
+temporary directory and renamed into place, so concurrent invocations
+can share one cache. ``--no-cache`` turns all three off and collects
+windows in memory.
 
 Observability: every experiment writes a JSON run manifest (seed, config,
 git SHA, timings, sweep/cache statistics, a wall-clock phase profile and
@@ -241,30 +241,39 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.dataset"),
-                        help="columnar dataset store directory: labelled "
-                             "windows persist as content-addressed shards "
-                             "and rebuilds simulate only missing pairs "
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", type=pathlib.Path,
+                        default=pathlib.Path("results/.cache"),
+                        help="artifact cache: simulated runs (runs/), "
+                             "labelled window shards (windows/) and "
+                             "trained models (models/), content-addressed "
                              "(default: %(default)s)")
-    parser.add_argument("--no-dataset-cache", action="store_true",
-                        help="collect windows in memory instead of through "
-                             "the on-disk dataset store")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="read and write no cached runs, windows or "
+                             "models; windows are collected in memory")
 
 
-def _open_store(args):
-    """The CLI's DatasetStore (or ``None`` with ``--no-dataset-cache``)."""
-    if args.no_dataset_cache:
-        return None
+def _open_caches(args):
+    """``(runs, windows, models)`` under ``--cache-dir``: a RunCache, a
+    DatasetStore and a ModelCache, or three ``None`` with ``--no-cache``.
+    ``None`` (error printed) when the directory is not writable."""
+    if args.no_cache:
+        return None, None, None
     from repro.data import DatasetStore
+    from repro.parallel import ModelCache, RunCache
 
     try:
-        return DatasetStore(args.dataset_dir)
+        caches = (RunCache(args.cache_dir / "runs"),
+                  DatasetStore(args.cache_dir / "windows"),
+                  ModelCache(args.cache_dir / "models"))
+        probe = args.cache_dir / ".write-probe"
+        probe.write_bytes(b"")
+        probe.unlink()
     except OSError as exc:
-        raise SystemExit(_fail(
-            f"dataset dir {args.dataset_dir} is not usable ({exc}); "
-            f"pass --dataset-dir or --no-dataset-cache"))
+        _fail(f"cache dir {args.cache_dir} is not writable ({exc}); "
+              f"pass --cache-dir or --no-cache")
+        return None
+    return caches
 
 
 def main_obs_report(argv: list[str]) -> int:
@@ -365,17 +374,7 @@ def main_train(argv: list[str]) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation and "
                              "training restarts (default: 1)")
-    parser.add_argument("--cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.runcache"),
-                        help="run cache directory (default: %(default)s)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the run cache")
-    parser.add_argument("--model-cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.modelcache"),
-                        help="model cache directory (default: %(default)s)")
-    parser.add_argument("--no-model-cache", action="store_true",
-                        help="do not read or write the model cache")
-    _add_dataset_flags(parser)
+    _add_cache_flags(parser)
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v: INFO logs, -vv: DEBUG logs")
     args = parser.parse_args(argv)
@@ -386,15 +385,14 @@ def main_train(argv: list[str]) -> int:
 
     from repro.core.labeling import BINARY_THRESHOLDS, MULTICLASS_THRESHOLDS
     from repro.experiments.fig3 import collect_io500_bank, evaluate_bank
-    from repro.parallel import RunCache, SweepExecutor, TrainExecutor
+    from repro.parallel import SweepExecutor, TrainExecutor
 
-    cache = None if args.no_cache else RunCache(args.cache_dir)
-    executor = SweepExecutor(n_jobs=args.jobs, cache=cache)
-    trainer = TrainExecutor(
-        n_jobs=args.jobs,
-        cache=None if args.no_model_cache else args.model_cache_dir,
-    )
-    store = _open_store(args)
+    caches = _open_caches(args)
+    if caches is None:
+        return 2
+    runs, store, models = caches
+    executor = SweepExecutor(n_jobs=args.jobs, cache=runs)
+    trainer = TrainExecutor(n_jobs=args.jobs, cache=models)
     thresholds = (MULTICLASS_THRESHOLDS if args.multiclass
                   else BINARY_THRESHOLDS)
     s = _scales(args.fast)
@@ -664,24 +662,15 @@ def main(argv: list[str] | None = None) -> int:
                         default="event",
                         help="simulator request path: per-request generator "
                              "processes (event, default) or the vectorised "
-                             "batched fast path (batch); results are "
-                             "bit-identical (default: %(default)s)")
+                             "batched fast path (batch); results agree "
+                             "bit for bit under single-instance noise but "
+                             "still diverge under multi-instance MDS "
+                             "contention, see ROADMAP.md "
+                             "(default: %(default)s)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation sweeps "
                              "(default: 1 = in-process)")
-    parser.add_argument("--cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.runcache"),
-                        help="content-addressed run cache directory "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the run cache")
-    parser.add_argument("--model-cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.modelcache"),
-                        help="content-addressed trained-model cache "
-                             "directory (default: %(default)s)")
-    parser.add_argument("--no-model-cache", action="store_true",
-                        help="do not read or write the model cache")
-    _add_dataset_flags(parser)
+    _add_cache_flags(parser)
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="deterministic fault injection spec, e.g. "
                              "'drop=0.2,blank=0.1,kill=0.05,seed=1' "
@@ -733,32 +722,18 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    from repro.parallel import RunCache, SweepExecutor
+    from repro.parallel import SweepExecutor, TrainExecutor
 
-    cache = None
-    if not args.no_cache:
-        try:
-            cache = RunCache(args.cache_dir)
-            probe = cache.directory / ".write-probe"
-            probe.write_bytes(b"")
-            probe.unlink()
-        except OSError as exc:
-            return _fail(f"cache dir {args.cache_dir} is not writable "
-                         f"({exc}); pass --cache-dir or --no-cache")
-    executor = SweepExecutor(n_jobs=args.jobs, cache=cache,
+    caches = _open_caches(args)
+    if caches is None:
+        return 2
+    runs, store, models = caches
+    executor = SweepExecutor(n_jobs=args.jobs, cache=runs,
                              run_timeout=args.run_timeout,
                              retries=args.retries, fault_plan=fault_plan)
-
-    from repro.parallel import TrainExecutor
-
-    trainer = TrainExecutor(
-        n_jobs=args.jobs,
-        cache=None if args.no_model_cache else args.model_cache_dir,
-        run_timeout=args.run_timeout,
-        retries=args.retries,
-    )
-
-    store = _open_store(args)
+    trainer = TrainExecutor(n_jobs=args.jobs, cache=models,
+                            run_timeout=args.run_timeout,
+                            retries=args.retries)
 
     tracer = None
     if args.trace:

@@ -640,7 +640,7 @@ def bench_dataset(jobs: int | None = None,
     Four store passes over the sweep grid (run cache pre-primed, so the
     numbers measure ETL, not simulation): the in-memory
     ``collect_windows`` baseline, a cold ``DatasetStore.build`` (shard
-    append + assembly), a warm rebuild (manifest + assembly-cache hit:
+    append + assembly), a warm rebuild (entry + assembly-cache hit:
     zero simulations, zero shard reads, asserted), and a one-pair
     warm append into both a small and a 3x-larger store — the append
     walls must match, demonstrating cost scales with *new* windows, not

@@ -2,8 +2,8 @@
 
 A *shard* is one fixed-size slice of labelled windows — the per-server
 feature vectors, the raw degradation levels and the per-window source
-tags of up to ``max_windows_per_shard`` windows from a single (target,
-scenario) pair.  Shards are plain ``.npz`` archives written with
+tags of up to :data:`repro.data.store.MAX_WINDOWS_PER_SHARD` windows
+from a single (target, scenario) pair.  Shards are plain ``.npz`` archives written with
 ``allow_pickle=False`` and a format-versioned embedded JSON document,
 the exact persistence idiom of
 :meth:`repro.core.predictor.InterferencePredictor.save`: self-describing,

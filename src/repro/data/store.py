@@ -1,22 +1,23 @@
 """Incremental, content-addressed, out-of-core dataset store.
 
 :class:`DatasetStore` is the columnar ETL layer between the sweep engine
-and the trainer.  It persists each (target, scenario) pair's labelled
-windows as fixed-size columnar shards (:mod:`repro.data.shard`), keyed
-by :func:`repro.parallel.cachekey.dataset_shard_key` — the pair's full
-run-key material plus the post-processing knobs — and records them in an
-on-disk manifest.  ``build_bank``/``build`` then:
+and the trainer, and the ``windows/`` namespace of the artifact store
+(:class:`repro.parallel.cache.EntryStore`).  Each (target, scenario)
+pair's labelled windows become one entry, keyed by
+:func:`repro.parallel.cachekey.dataset_shard_key` — the pair's full
+run-key material plus the post-processing knobs.  ``build_bank``/
+``build`` then:
 
-1. **simulate only missing pairs** — pairs whose key is already in the
-   manifest reuse their shards untouched, so a warm rebuild executes
-   zero simulations and zero re-aggregations (the counters prove it);
-2. **append** new pairs' windows as shards (bounded by
-   ``max_windows_per_shard``, so append cost scales with *new* windows,
-   never with what is already ingested);
+1. **simulate only missing pairs** — pairs whose entry is already on
+   disk reuse their shards untouched, so a warm rebuild executes zero
+   simulations and zero re-aggregations (the counters prove it);
+2. **append** each new pair as one entry, its windows split into
+   shards of at most :data:`MAX_WINDOWS_PER_SHARD` (so append cost
+   scales with *new* windows, never with what is already ingested);
 3. **assemble** the requested pairs, in sweep order, into a single
-   memmap-backed array (``np.lib.format.open_memmap``) cached under a
-   key derived from the ordered shard list — so even the shard scan runs
-   at most once per distinct sweep composition.
+   memmap-backed array (``np.lib.format.open_memmap``), itself an entry
+   keyed by the ordered shard list — so even the shard scan runs at
+   most once per distinct sweep composition.
 
 The assembled :class:`~repro.experiments.datagen.WindowBank` /
 :class:`~repro.core.dataset.Dataset` is **bit-identical** to the
@@ -28,19 +29,21 @@ warm :class:`~repro.parallel.modelcache.ModelCache` key survives the
 migration.  Only the backing storage changes: ``X`` is a read-only
 memmap, keeping peak RSS bounded by shard size instead of dataset size.
 
-Layout under ``directory``::
+Layout under ``directory``; every entry is built in a private temporary
+directory and renamed into place, so the directory is the index and
+concurrent builds never lose each other's pairs::
 
-    manifest.json                      # pair key -> entry (atomic rename)
-    shards/<key[:2]>/<key>-NNN.npz     # columnar window shards
-    shards/<key[:2]>/<key>.spec.json   # the key's raw material
-    assemblies/<akey>.npy              # memmap-backed assembled X
-    assemblies/<akey>.meta.npz         # levels + sources of the assembly
+    <key[:2]>/<key>/entry.json           # the entry record (kind, format,
+                                         # shard list, counts, run keys)
+    <key[:2]>/<key>/spec.json            # the key's raw material
+    <key[:2]>/<key>/<key>-NNN.npz        # columnar window shards
+    assemblies/<akey[:2]>/<akey>/X.npy   # memmap-backed assembled X
+    assemblies/<akey[:2]>/<akey>/meta.npz  # levels + sources
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from typing import TYPE_CHECKING, Any
@@ -51,6 +54,7 @@ from repro.core.labeling import BINARY_THRESHOLDS, DegradationLabeller
 from repro.obs import profile as _profile
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
+from repro.parallel.cache import EntryStore
 from repro.parallel.cachekey import (
     DATASET_FORMAT,
     dataset_shard_key_material,
@@ -65,125 +69,114 @@ if TYPE_CHECKING:
     from repro.parallel import RunCache, SweepExecutor
     from repro.workloads.base import Workload
 
-__all__ = ["DatasetStore"]
+__all__ = ["DatasetStore", "MAX_WINDOWS_PER_SHARD"]
 
 logger = get_logger("data.store")
 
-_STORE_KIND = "repro-dataset-store"
-_MANIFEST = "manifest.json"
-_SHARD_DIR = "shards"
-_ASSEMBLY_DIR = "assemblies"
+#: Windows per shard file.  Bounds both shard file size and the working
+#: set of the append/assembly loops — it keeps peak RSS flat as the
+#: store grows.
+MAX_WINDOWS_PER_SHARD = 4096
+
+_ENTRY_KIND = "repro-dataset-entry"
 
 
-class DatasetStore:
-    """On-disk incremental dataset of labelled interference windows.
+def _load_assembly(entry: pathlib.Path
+                   ) -> "tuple[np.ndarray, np.ndarray, list[str]]":
+    X = np.lib.format.open_memmap(entry / _Assemblies.marker, mode="r")
+    with np.load(entry / "meta.npz", allow_pickle=False) as meta:
+        levels = np.asarray(meta["levels"], dtype=float)
+        sources = [str(s) for s in meta["sources"]]
+    if X.ndim != 3 or not (len(X) == len(levels) == len(sources)):
+        raise ValueError(f"assembly {entry.name} is inconsistent")
+    return X, levels, sources
 
-    ``max_windows_per_shard`` bounds both shard file size and the
-    working set of the append/assembly loops — it is the knob that keeps
-    peak RSS flat as the store grows.
-    """
 
-    def __init__(self, directory: str | pathlib.Path,
-                 max_windows_per_shard: int = 4096) -> None:
-        if max_windows_per_shard < 1:
-            raise ValueError("max_windows_per_shard must be >= 1")
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_windows_per_shard = int(max_windows_per_shard)
+class _Assemblies(EntryStore):
+    """Assembled banks, keyed by their ordered shard list."""
+
+    marker = "X.npy"
+
+    def __init__(self, directory: pathlib.Path) -> None:
+        super().__init__(directory, metrics="data.store.assembly_")
+
+
+class DatasetStore(EntryStore):
+    """On-disk incremental dataset of labelled interference windows."""
+
+    marker = "entry.json"
+
+    def __init__(self, directory: str | pathlib.Path) -> None:
+        super().__init__(directory, metrics="data.store.")
+        self._assemblies = _Assemblies(self.directory / "assemblies")
         self.pairs_appended = 0
         self.pairs_reused = 0
         self.pairs_skipped = 0
         self.windows_appended = 0
         self.shards_written = 0
         self.shards_scanned = 0
-        self.assembly_hits = 0
-        self.assembly_misses = 0
-        self.errors = 0
         self.last_build: dict[str, Any] | None = None
 
-    # -- manifest ---------------------------------------------------------
+    @property
+    def assembly_hits(self) -> int:
+        return self._assemblies.hits
 
     @property
-    def manifest_path(self) -> pathlib.Path:
-        return self.directory / _MANIFEST
+    def assembly_misses(self) -> int:
+        return self._assemblies.misses
 
-    def _fresh_manifest(self) -> dict[str, Any]:
-        return {"kind": _STORE_KIND, "format": DATASET_FORMAT, "seq": 0,
-                "entries": {}}
+    # -- entries ----------------------------------------------------------
 
-    def load_manifest(self) -> dict[str, Any]:
-        """The current manifest document (fresh/empty if none or stale)."""
-        path = self.manifest_path
-        if not path.exists():
-            return self._fresh_manifest()
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            self._error("unreadable manifest %s (%s); starting fresh",
-                        path, exc)
-            return self._fresh_manifest()
-        if doc.get("kind") != _STORE_KIND:
-            raise ValueError(
-                f"{path} is not a dataset-store manifest "
-                f"(kind={doc.get('kind')!r})")
-        if doc.get("format") != DATASET_FORMAT:
-            # A format bump re-keys every shard anyway; old entries can
-            # never be referenced again, so the store restarts cleanly.
-            logger.warning("manifest %s has format %r, current is %r; "
-                           "starting fresh", path, doc.get("format"),
-                           DATASET_FORMAT)
-            return self._fresh_manifest()
-        doc.setdefault("seq", 0)
-        doc.setdefault("entries", {})
-        return doc
+    def _read_entry(self, entry: pathlib.Path) -> dict[str, Any]:
+        """An entry's record; ``ValueError`` for a foreign, stale-format
+        or incomplete entry, which the caller evicts as corrupt."""
+        record = json.loads((entry / self.marker).read_text())
+        if record.get("kind") != _ENTRY_KIND:
+            raise ValueError(f"not a dataset entry "
+                             f"(kind={record.get('kind')!r})")
+        if record.get("format") != DATASET_FORMAT:
+            raise ValueError(f"entry format {record.get('format')!r}, "
+                             f"current is {DATASET_FORMAT!r}")
+        missing = [stem for stem in record["shards"]
+                   if not (entry / f"{stem}.npz").is_file()]
+        if missing:
+            raise ValueError(f"missing shard files {missing}")
+        return record
 
-    def _write_manifest(self, doc: dict[str, Any]) -> None:
-        tmp = self.manifest_path.with_name(
-            f"{_MANIFEST}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=False))
-        os.replace(tmp, self.manifest_path)
-
-    def _error(self, msg: str, *args: Any) -> None:
-        self.errors += 1
-        REGISTRY.counter("data.store.errors").inc()
-        logger.warning(msg, *args)
-
-    # -- paths ------------------------------------------------------------
-
-    def _shard_path(self, key: str, index: int) -> pathlib.Path:
-        return self.directory / _SHARD_DIR / key[:2] / f"{key}-{index:03d}.npz"
-
-    def _stem_path(self, stem: str) -> pathlib.Path:
-        return self.directory / _SHARD_DIR / stem[:2] / f"{stem}.npz"
-
-    def _spec_path(self, key: str) -> pathlib.Path:
-        return self.directory / _SHARD_DIR / key[:2] / f"{key}.spec.json"
-
-    def _entry_complete(self, entry: dict[str, Any]) -> bool:
-        """All shard files of an entry are still present on disk."""
-        return all(self._stem_path(stem).exists() for stem in entry["shards"])
-
-    # -- append -----------------------------------------------------------
-
-    def _append_pair(self, manifest: dict[str, Any], key: str,
-                     material: dict[str, Any], target: "Workload",
-                     scenario: "Scenario", part: "WindowBank | None",
-                     baseline_key: str, run_key: str) -> None:
-        """Write one pair's windows as shards and record the entry.
+    def _append_pair(self, key: str, material: dict[str, Any],
+                     target: "Workload", scenario: "Scenario",
+                     part: "WindowBank | None", baseline_key: str,
+                     run_key: str) -> dict[str, Any]:
+        """Write one pair's windows as an entry; returns its record.
 
         ``part is None`` (a pair that produced no labelled windows) is
-        recorded too — with zero shards — so a warm rebuild skips the
+        stored too — with zero shards — so a warm rebuild skips the
         pair instead of re-simulating it just to relearn it was empty.
         """
-        stems: list[str] = []
-        n_bytes = 0
-        shape = None
+        windows = 0 if part is None else len(part)
+        starts = range(0, windows, MAX_WINDOWS_PER_SHARD)
+        record: dict[str, Any] = {
+            "kind": _ENTRY_KIND,
+            "format": DATASET_FORMAT,
+            "target": target.name,
+            "scenario": scenario.name,
+            "source": f"{target.name}:{scenario.name}",
+            "windows": windows,
+            # Fixed before writing: a concurrent writer that stores the
+            # same key first leaves exactly these shards.
+            "shards": [f"{key}-{index:03d}" for index in range(len(starts))],
+            "bytes": 0,
+            "baseline_run_key": baseline_key,
+            "interfered_run_key": run_key,
+        }
         if part is not None:
-            shape = (int(part.X.shape[1]), int(part.X.shape[2]))
-            step = self.max_windows_per_shard
-            for index, start in enumerate(range(0, len(part), step)):
-                stop = start + step
-                path = self._shard_path(key, index)
+            record["n_servers"] = int(part.X.shape[1])
+            record["n_features"] = int(part.X.shape[2])
+
+        def write(tmp: pathlib.Path) -> None:
+            for index, start in enumerate(starts):
+                stop = start + MAX_WINDOWS_PER_SHARD
+                path = tmp / f"{record['shards'][index]}.npz"
                 with _profile.phase("shard-write"):
                     write_shard(
                         path,
@@ -199,48 +192,17 @@ class DatasetStore:
                             "interfered_run_key": run_key,
                         },
                     )
-                stems.append(path.name[:-len(".npz")])
-                n_bytes += path.stat().st_size
+                record["bytes"] += path.stat().st_size
                 self.shards_written += 1
                 REGISTRY.counter("data.store.shards_written").inc()
-        spec = self._spec_path(key)
-        spec.parent.mkdir(parents=True, exist_ok=True)
-        spec.write_text(json.dumps(material, indent=1, sort_keys=True))
-        manifest["entries"][key] = {
-            "seq": manifest["seq"],
-            "target": target.name,
-            "scenario": scenario.name,
-            "source": f"{target.name}:{scenario.name}",
-            "windows": 0 if part is None else len(part),
-            "shards": stems,
-            "bytes": n_bytes,
-            **({"n_servers": shape[0], "n_features": shape[1]}
-               if shape else {}),
-            "baseline_run_key": baseline_key,
-            "interfered_run_key": run_key,
-        }
-        manifest["seq"] += 1
-        self.pairs_appended += 1
-        self.windows_appended += 0 if part is None else len(part)
-        REGISTRY.counter("data.store.pairs_appended").inc()
-        REGISTRY.counter("data.store.windows_appended").inc(
-            0 if part is None else len(part))
+            (tmp / self.marker).write_text(json.dumps(record, indent=1))
 
-    def _evict(self, manifest: dict[str, Any], key: str) -> None:
-        """Drop an entry and its files (corrupt or incomplete)."""
-        entry = manifest["entries"].pop(key, None)
-        if entry is None:
-            return
-        for stem in entry["shards"]:
-            try:
-                self._stem_path(stem).unlink(missing_ok=True)
-            except OSError:
-                pass
-        try:
-            self._spec_path(key).unlink(missing_ok=True)
-        except OSError:
-            pass
-        self._write_manifest(manifest)
+        self._put(key, write, material)
+        self.pairs_appended += 1
+        self.windows_appended += windows
+        REGISTRY.counter("data.store.pairs_appended").inc()
+        REGISTRY.counter("data.store.windows_appended").inc(windows)
+        return record
 
     # -- assembly ---------------------------------------------------------
 
@@ -249,75 +211,51 @@ class DatasetStore:
                             "format": DATASET_FORMAT,
                             "shards": ordered_stems})
 
-    def _load_assembly(self, akey: str) -> "tuple[np.ndarray, np.ndarray, list[str]] | None":
-        base = self.directory / _ASSEMBLY_DIR
-        x_path, meta_path = base / f"{akey}.npy", base / f"{akey}.meta.npz"
-        if not (x_path.exists() and meta_path.exists()):
-            return None
-        try:
-            X = np.lib.format.open_memmap(x_path, mode="r")
-            with np.load(meta_path, allow_pickle=False) as meta:
-                levels = np.asarray(meta["levels"], dtype=float)
-                sources = [str(s) for s in meta["sources"]]
-            if X.ndim != 3 or not (len(X) == len(levels) == len(sources)):
-                raise ValueError(f"assembly {akey} is inconsistent")
-        except (OSError, ValueError) as exc:
-            self._error("corrupt assembly %s (%s); rebuilding from shards",
-                        akey, exc)
-            return None
-        return X, levels, sources
-
-    def _assemble(self, manifest: dict[str, Any],
-                  ordered_keys: list[str]) -> "WindowBank":
-        """Assemble the keys' shards, in order, into a memmap-backed bank."""
+    def _assemble(self, records: list[dict[str, Any]]) -> "WindowBank":
+        """Assemble the entries' shards, in order, into a memmap bank."""
         from repro.experiments.datagen import WindowBank
 
-        entries = [manifest["entries"][k] for k in ordered_keys]
-        ordered_stems = [stem for e in entries for stem in e["shards"]]
-        total = sum(e["windows"] for e in entries)
+        ordered_stems = [stem for r in records for stem in r["shards"]]
+        total = sum(r["windows"] for r in records)
         if total == 0:
             raise RuntimeError("no labelled windows were produced")
         akey = self._assembly_key(ordered_stems)
-        cached = self._load_assembly(akey)
-        if cached is not None:
-            self.assembly_hits += 1
-            REGISTRY.counter("data.store.assembly_hits").inc()
-            X, levels, sources = cached
-            return WindowBank(X, levels, sources=sources)
+        cached = self._assemblies._get(akey, _load_assembly)
+        if cached is None:
+            self._assemblies._put(akey, lambda tmp: self._write_assembly(
+                ordered_stems, total, tmp))
+            cached = _load_assembly(self._assemblies.path_for(akey))
+        X, levels, sources = cached
+        return WindowBank(X, levels, sources=sources)
 
-        self.assembly_misses += 1
-        REGISTRY.counter("data.store.assembly_misses").inc()
-        base = self.directory / _ASSEMBLY_DIR
-        base.mkdir(parents=True, exist_ok=True)
-        tmp_x = base / f"{akey}.{os.getpid()}.tmp.npy"
-        tmp_meta = base / f"{akey}.{os.getpid()}.tmp.meta.npz"
+    def _write_assembly(self, ordered_stems: list[str], total: int,
+                        tmp: pathlib.Path) -> None:
+        """Scan the shards, in order, into ``tmp``'s memmap + meta."""
         levels = np.empty(total, dtype=float)
         sources: list[str] = []
         X = None
         row = 0
         with _profile.phase("shard-scan", shards=len(ordered_stems)):
             for stem in ordered_stems:
+                key = stem.rsplit("-", 1)[0]
                 try:
-                    shard = read_shard(self._stem_path(stem))
+                    shard = read_shard(self.path_for(key) / f"{stem}.npz")
                 except (OSError, ValueError) as exc:
                     # Content-addressed stores treat corruption as loss,
                     # never as data: evict the owning entry so the next
                     # build re-simulates just that pair.
-                    key = stem.rsplit("-", 1)[0]
-                    self._error("corrupt shard %s (%s); evicting entry %s",
-                                stem, exc, key)
-                    self._evict(manifest, key)
-                    try:
-                        tmp_x.unlink(missing_ok=True)
-                    except OSError:
-                        pass
+                    self._count("errors")
+                    logger.warning("corrupt shard %s (%s); evicting entry %s",
+                                   stem, exc, key)
+                    self.evict(key)
                     raise RuntimeError(
                         f"shard {stem} was corrupt; its entry has been "
                         f"evicted — re-run the build to regenerate it"
                     ) from exc
                 if X is None:
                     X = np.lib.format.open_memmap(
-                        tmp_x, mode="w+", dtype=np.float64,
+                        tmp / _Assemblies.marker, mode="w+",
+                        dtype=np.float64,
                         shape=(total, shard.X.shape[1], shard.X.shape[2]))
                 n = len(shard)
                 X[row:row + n] = shard.X
@@ -328,19 +266,15 @@ class DatasetStore:
                 REGISTRY.counter("data.store.shards_scanned").inc()
         if row != total or X is None:
             raise RuntimeError(
-                f"assembly mismatch: manifest promises {total} windows, "
+                f"assembly mismatch: entries promise {total} windows, "
                 f"shards held {row}")
         with _profile.phase("shard-assemble", windows=total):
             X.flush()
             del X
-            with open(tmp_meta, "wb") as fp:
+            with open(tmp / "meta.npz", "wb") as fp:
                 np.savez_compressed(
                     fp, levels=levels,
                     sources=np.array(sources, dtype=np.str_))
-            os.replace(tmp_meta, base / f"{akey}.meta.npz")
-            os.replace(tmp_x, base / f"{akey}.npy")
-        X = np.lib.format.open_memmap(base / f"{akey}.npy", mode="r")
-        return WindowBank(X, levels, sources=sources)
 
     # -- build ------------------------------------------------------------
 
@@ -370,7 +304,6 @@ class DatasetStore:
         from repro.parallel import PairJob, RunJob, SweepExecutor
 
         executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
-        manifest = self.load_manifest()
         sweep = sweep_pairs(targets, scenarios, include_quiet_windows)
         pair_jobs = [
             PairJob(target, tuple(scenario.interference), config,
@@ -378,21 +311,15 @@ class DatasetStore:
             for target, scenario in sweep
         ]
         keys = [executor.shard_key_for(job) for job in pair_jobs]
-        for key in keys:
-            entry = manifest["entries"].get(key)
-            if entry is not None and not self._entry_complete(entry):
-                self._error("entry %s is missing shard files; evicting", key)
-                self._evict(manifest, key)
+        records: dict[str, dict[str, Any] | None] = {}
         missing: list[int] = []
-        seen: set[str] = set()
         for i, key in enumerate(keys):
-            if key in manifest["entries"]:
-                continue
-            if key in seen:
-                continue  # same pair requested twice: append once
-            seen.add(key)
-            missing.append(i)
-        reused = len([k for k in keys if k in manifest["entries"]])
+            if key in records:
+                continue  # same pair requested twice: look up/append once
+            records[key] = self._get(key, self._read_entry)
+            if records[key] is None:
+                missing.append(i)
+        reused = sum(records[k] is not None for k in keys)
         self.pairs_reused += reused
         REGISTRY.counter("data.store.pairs_reused").inc(reused)
 
@@ -411,8 +338,8 @@ class DatasetStore:
                         continue
                     part = label_pair(labeller, target, scenario, pair,
                                       config)
-                    self._append_pair(
-                        manifest, keys[i],
+                    records[keys[i]] = self._append_pair(
+                        keys[i],
                         dataset_shard_key_material(
                             target, tuple(scenario.interference), config,
                             seed_salt=scenario.name, salt=executor.salt,
@@ -424,12 +351,11 @@ class DatasetStore:
                             RunJob(target, tuple(scenario.interference),
                                    config, seed_salt=scenario.name)),
                     )
-            self._write_manifest(manifest)
         append_seconds = time.monotonic() - t0
 
         t1 = time.monotonic()
-        ordered = [k for k in keys if k in manifest["entries"]]
-        bank = self._assemble(manifest, ordered)
+        bank = self._assemble([records[k] for k in keys
+                               if records[k] is not None])
         self.last_build = {
             "pairs": len(sweep),
             "missing_pairs": len(missing),
@@ -470,15 +396,18 @@ class DatasetStore:
 
     def stats(self) -> dict[str, Any]:
         """Store counters + on-disk totals, manifest-ready."""
-        manifest = self.load_manifest()
-        entries = manifest["entries"]
+        records = []
+        for path in self.directory.glob(f"??/*/{self.marker}"):
+            try:
+                records.append(json.loads(path.read_text()))
+            except (OSError, ValueError):
+                continue  # a concurrent eviction or a corrupt record
         return {
-            "directory": str(self.directory),
-            "entries": len(entries),
-            "windows": sum(e["windows"] for e in entries.values()),
-            "shards": sum(len(e["shards"]) for e in entries.values()),
-            "bytes": sum(e["bytes"] for e in entries.values()),
-            "max_windows_per_shard": self.max_windows_per_shard,
+            **super().stats(),
+            "entries": len(records),
+            "windows": sum(r.get("windows", 0) for r in records),
+            "shards": sum(len(r.get("shards", ())) for r in records),
+            "bytes": sum(r.get("bytes", 0) for r in records),
             "pairs_appended": self.pairs_appended,
             "pairs_reused": self.pairs_reused,
             "pairs_skipped": self.pairs_skipped,
@@ -487,6 +416,6 @@ class DatasetStore:
             "shards_scanned": self.shards_scanned,
             "assembly_hits": self.assembly_hits,
             "assembly_misses": self.assembly_misses,
-            "errors": self.errors,
+            "errors": self.errors + self._assemblies.errors,
             "last_build": self.last_build,
         }

@@ -9,10 +9,14 @@ package removes both without touching determinism:
 * :mod:`repro.parallel.cachekey` — stable content-addressed keys over
   (workload spec, interference, config, seed, code-version salt) for
   runs, and (dataset digest, training recipe) for models;
-* :mod:`repro.parallel.cache` — :class:`RunCache`, an atomic on-disk
-  store of :class:`~repro.monitor.aggregator.MonitoredRun` records;
-* :mod:`repro.parallel.modelcache` — :class:`ModelCache`, its sibling
-  for trained :class:`~repro.core.predictor.InterferencePredictor`s;
+* :mod:`repro.parallel.cache` — :class:`EntryStore`, the one atomic,
+  self-describing on-disk entry scheme every artifact namespace uses,
+  and :class:`RunCache`, its namespace of
+  :class:`~repro.monitor.aggregator.MonitoredRun` records;
+* :mod:`repro.parallel.modelcache` — :class:`ModelCache`, the namespace
+  of trained :class:`~repro.core.predictor.InterferencePredictor`
+  models (the third, labelled windows, is
+  :class:`repro.data.DatasetStore`);
 * :mod:`repro.parallel.supervise` — the shared watchdog/retry/quarantine
   machinery both executors run their children under;
 * :mod:`repro.parallel.executor` — :class:`SweepExecutor`, fanning
@@ -30,8 +34,8 @@ Quick use::
     from repro.experiments.datagen import collect_windows
 
     bank = collect_windows(targets, scenarios, config,
-                           n_jobs=4, cache="results/.runcache")
-    trainer = TrainExecutor(n_jobs=4, cache="results/.modelcache")
+                           n_jobs=4, cache="results/.cache/runs")
+    trainer = TrainExecutor(n_jobs=4, cache="results/.cache/models")
     predictor = trainer.train_predictor(bank.binary())
 
 DESIGN.md §7 documents the determinism contract and cache layout;

@@ -1,12 +1,8 @@
 """Content-addressed on-disk cache of trained predictors.
 
-The training-side sibling of :class:`repro.parallel.cache.RunCache`.
-Layout (same two-hex-digit fan-out)::
-
-    <cache_dir>/
-      <key[:2]>/<key>/
-        spec.json      # the key material, for humans and debugging
-        model.npz      # InterferencePredictor.save output
+The ``models/`` namespace of the artifact store
+(:class:`repro.parallel.cache.EntryStore`); each entry holds
+``spec.json`` plus ``model.npz`` (:meth:`InterferencePredictor.save`).
 
 Keys come from :func:`repro.parallel.cachekey.train_key`: the dataset's
 content digest plus the complete training recipe (thresholds,
@@ -14,122 +10,36 @@ content digest plus the complete training recipe (thresholds,
 code-version salt.  Anything that could change the trained parameters
 changes the key, so a hit is always safe to use — a warm rerun of an
 experiment executes **zero** trainings and returns bit-identical models.
-
-Entries are written atomically (write to a private temporary directory,
-rename into place), so concurrent invocations can share one cache
-directory without locking.  A corrupted entry — truncated npz, bad JSON,
-format-version mismatch — is treated as a miss: deleted and retrained,
-never allowed to crash an experiment.
-
-Hit/miss/store/error counts land both on the instance (:meth:`stats`)
-and in the metrics registry (``parallel.modelcache.*``), from where
-they flow into run manifests.
+A corrupted entry — truncated npz, bad JSON, format-version mismatch —
+is treated as a miss: deleted and retrained, never allowed to crash an
+experiment.  Counters land in the registry as ``parallel.modelcache.*``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import shutil
 from typing import Any
 
 from repro.core.predictor import InterferencePredictor
-from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.parallel.cache import EntryStore
 
 __all__ = ["ModelCache"]
 
-logger = get_logger("parallel.modelcache")
 
-_MODEL_FILE = "model.npz"
-_SPEC_FILE = "spec.json"
-
-
-class ModelCache:
+class ModelCache(EntryStore):
     """Persist and recall trained :class:`InterferencePredictor`s by key."""
 
+    marker = "model.npz"
+
     def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.errors = 0
-        self._hit_counter = REGISTRY.counter("parallel.modelcache.hits")
-        self._miss_counter = REGISTRY.counter("parallel.modelcache.misses")
-        self._store_counter = REGISTRY.counter("parallel.modelcache.stores")
-        self._error_counter = REGISTRY.counter("parallel.modelcache.errors")
-
-    def path_for(self, key: str) -> pathlib.Path:
-        """Directory an entry with ``key`` lives in (existing or not)."""
-        if len(key) < 3:
-            raise ValueError(f"implausibly short cache key: {key!r}")
-        return self.directory / key[:2] / key
-
-    def __contains__(self, key: str) -> bool:
-        return (self.path_for(key) / _MODEL_FILE).is_file()
+        super().__init__(directory, metrics="parallel.modelcache.")
 
     def get(self, key: str) -> InterferencePredictor | None:
         """The cached predictor for ``key``, or ``None`` (miss/corrupt)."""
-        entry = self.path_for(key)
-        model_file = entry / _MODEL_FILE
-        if not model_file.is_file():
-            self.misses += 1
-            self._miss_counter.inc()
-            return None
-        try:
-            predictor = InterferencePredictor.load(model_file)
-        except Exception as exc:  # any corruption: retrain, never crash
-            self.errors += 1
-            self.misses += 1
-            self._error_counter.inc()
-            self._miss_counter.inc()
-            logger.warning("dropping corrupt model-cache entry %s (%s: %s)",
-                           key, type(exc).__name__, exc)
-            shutil.rmtree(entry, ignore_errors=True)
-            return None
-        self.hits += 1
-        self._hit_counter.inc()
-        return predictor
+        return self._get(
+            key, lambda entry: InterferencePredictor.load(entry / self.marker))
 
     def put(self, key: str, predictor: InterferencePredictor,
             material: dict[str, Any] | None = None) -> None:
         """Store ``predictor`` under ``key`` (no-op when already present)."""
-        entry = self.path_for(key)
-        if (entry / _MODEL_FILE).is_file():
-            return
-        tmp = self.directory / f".tmp-{os.getpid()}-{key[:16]}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        try:
-            tmp.mkdir(parents=True)
-            predictor.save(tmp / _MODEL_FILE)
-            if material is not None:
-                (tmp / _SPEC_FILE).write_text(
-                    json.dumps(material, indent=2, sort_keys=True) + "\n")
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                tmp.rename(entry)
-            except OSError:
-                # Lost the race against a concurrent writer; theirs is
-                # byte-equivalent (same key), keep it.
-                shutil.rmtree(tmp, ignore_errors=True)
-                return
-        except Exception:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        self.stores += 1
-        self._store_counter.inc()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob(f"??/*/{_MODEL_FILE}"))
-
-    def stats(self) -> dict[str, Any]:
-        """Counters for manifests: hits/misses/stores/errors this process."""
-        return {
-            "directory": str(self.directory),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "errors": self.errors,
-        }
+        self._put(key, lambda tmp: predictor.save(tmp / self.marker), material)

@@ -8,6 +8,7 @@ zero simulations and zero re-aggregations.
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.experiments.datagen import (Scenario, collect_windows,
                                        generate_dataset)
 from repro.experiments.runner import (ExperimentConfig, InterferenceSpec,
                                       experiment_cluster)
-from repro.parallel import SweepExecutor
+from repro.parallel import DATASET_FORMAT, SweepExecutor
 from repro.workloads.io500 import make_io500_task
 
 
@@ -117,13 +118,14 @@ def test_assembled_x_is_readonly_memmap(tmp_path):
         dataset.X[0, 0, 0] = 1.0
 
 
-def test_small_shards_split_and_still_match(tmp_path):
+def test_small_shards_split_and_still_match(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.data.store.MAX_WINDOWS_PER_SHARD", 1)
     config = small_config()
     # A longer target: each pair yields several windows, so a one-window
     # shard limit forces every pair to split across files.
     targets = [make_io500_task("ior-easy-write", ranks=2, scale=2.0)]
     in_memory = generate_dataset(targets, small_scenarios(), config)
-    store = DatasetStore(tmp_path / "store", max_windows_per_shard=1)
+    store = DatasetStore(tmp_path / "store")
     built = store.build(targets, small_scenarios(), config)
     # One window per shard: the pairs really split into multiple files.
     assert store.shards_written == store.windows_appended
@@ -136,12 +138,11 @@ def test_corrupt_shard_is_evicted_then_rebuilt(tmp_path):
     store = DatasetStore(tmp_path / "store")
     original = store.build(small_targets(), small_scenarios(), config)
 
-    shard_files = sorted((tmp_path / "store" / "shards").rglob("*-000.npz"))
+    shard_files = sorted((tmp_path / "store").glob("??/*/*-000.npz"))
     assert shard_files
     shard_files[0].write_bytes(b"garbage")
     # Invalidate the cached assembly so the scan actually re-reads shards.
-    for f in (tmp_path / "store" / "assemblies").iterdir():
-        f.unlink()
+    shutil.rmtree(tmp_path / "store" / "assemblies")
 
     broken = DatasetStore(tmp_path / "store")
     with pytest.raises(RuntimeError, match="re-run the build"):
@@ -161,7 +162,7 @@ def test_missing_shard_file_evicts_entry(tmp_path):
     config = small_config()
     store = DatasetStore(tmp_path / "store")
     store.build(small_targets(), small_scenarios(), config)
-    shard_files = sorted((tmp_path / "store" / "shards").rglob("*-000.npz"))
+    shard_files = sorted((tmp_path / "store").glob("??/*/*-000.npz"))
     shard_files[0].unlink()
 
     repaired = DatasetStore(tmp_path / "store")
@@ -170,33 +171,72 @@ def test_missing_shard_file_evicts_entry(tmp_path):
     assert repaired.last_build["missing_pairs"] == 1
 
 
-def test_wrong_manifest_kind_raises(tmp_path):
-    store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text(json.dumps({"kind": "something-else"}))
-    with pytest.raises(ValueError, match="not a dataset-store manifest"):
-        store.load_manifest()
+class _ConcurrentExecutor(SweepExecutor):
+    """Runs a second, independent build on the same store directory
+    while the first build is still simulating — what a concurrent
+    ``repro`` invocation sharing the cache does."""
+
+    def __init__(self, directory, scenarios, config):
+        super().__init__()
+        self._other = (directory, scenarios, config)
+
+    def run_pairs(self, pairs):
+        paired = super().run_pairs(pairs)
+        if self._other is not None:
+            directory, scenarios, config = self._other
+            self._other = None
+            DatasetStore(directory).build_bank(small_targets(), scenarios,
+                                               config)
+        return paired
 
 
-def test_corrupt_manifest_starts_fresh(tmp_path):
+@pytest.mark.parametrize("theirs", ["other-pairs", "same-pairs"])
+def test_concurrent_builds_keep_each_others_entries(tmp_path, theirs):
+    config = small_config()
+    other = ([extra_scenario()] if theirs == "other-pairs"
+             else small_scenarios())
+    executor = _ConcurrentExecutor(tmp_path / "store", other, config)
+    bank = DatasetStore(tmp_path / "store").build_bank(
+        small_targets(), small_scenarios(), config, executor=executor)
+    for scenarios in (small_scenarios(), other):
+        fresh = DatasetStore(tmp_path / "store")
+        fresh.build_bank(small_targets(), scenarios, config,
+                         executor=SweepExecutor())
+        assert fresh.last_build["missing_pairs"] == 0
+    in_memory = collect_windows(small_targets(), small_scenarios(), config)
+    assert np.array_equal(bank.X, in_memory.X)
+    assert bank.sources == in_memory.sources
+
+
+def _first_entry(directory):
+    """The entry directory of one stored pair and its entry record."""
+    record = sorted(directory.glob("??/*/entry.json"))[0]
+    return record.parent, record
+
+
+@pytest.mark.parametrize("damage", ["foreign", "corrupt", "stale-format"])
+def test_bad_entry_is_a_miss_and_evicted(tmp_path, damage):
+    config = small_config()
+    DatasetStore(tmp_path / "store").build_bank(small_targets(),
+                                                small_scenarios(), config)
+    entry, record = _first_entry(tmp_path / "store")
+    doc = json.loads(record.read_text())
+    if damage == "foreign":
+        doc["kind"] = "something-else"
+        record.write_text(json.dumps(doc))
+    elif damage == "corrupt":
+        record.write_text("{not json")
+    else:
+        doc["format"] = -1
+        record.write_text(json.dumps(doc))
+
     store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text("{not json")
-    manifest = store.load_manifest()
-    assert manifest["entries"] == {}
+    store.build_bank(small_targets(), small_scenarios(), config)
     assert store.errors == 1
-
-
-def test_format_bump_starts_fresh(tmp_path):
-    store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text(
-        json.dumps({"kind": "repro-dataset-store", "format": -1,
-                    "entries": {"k": {}}, "seq": 1}))
-    manifest = store.load_manifest()
-    assert manifest["entries"] == {}
-
-
-def test_store_rejects_bad_shard_size(tmp_path):
-    with pytest.raises(ValueError, match="max_windows_per_shard"):
-        DatasetStore(tmp_path / "store", max_windows_per_shard=0)
+    assert store.last_build["missing_pairs"] == 1
+    # The damaged entry was replaced by a freshly built, valid one.
+    assert json.loads(record.read_text())["format"] == DATASET_FORMAT
+    assert entry.is_dir()
 
 
 def test_stats_shape(tmp_path):

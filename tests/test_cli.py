@@ -259,8 +259,7 @@ def test_train_then_predict_end_to_end(tmp_path, capsys):
 
     model_a = tmp_path / "a.npz"
     model_b = tmp_path / "b.npz"
-    common = ["--fast", "--cache-dir", str(tmp_path / "runs"),
-              "--model-cache-dir", str(tmp_path / "models")]
+    common = ["--fast", "--cache-dir", str(tmp_path / "cache")]
     assert main(["train", "--model-out", str(model_a), *common]) == 0
     cold_out = capsys.readouterr().out
     assert "wrote" in cold_out
@@ -277,6 +276,15 @@ def test_train_then_predict_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "window" in out
     assert "2 classes" in out
+
+
+def test_train_no_cache_leaves_no_cache_dir(tmp_path, monkeypatch, capsys):
+    """--no-cache turns off all three namespaces: a cold train leaves
+    nothing behind but its model, not even a window store."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--fast", "--no-cache", "--model-out", "m.npz"]) == 0
+    assert "model cache: off" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
 
 
 # -- serve --------------------------------------------------------------------
