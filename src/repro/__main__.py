@@ -12,7 +12,6 @@ Usage::
     python -m repro obs FILE [FILE ...]  # summarise traces/metrics/manifests
     python -m repro obs report FILE ... [--chrome-trace OUT.json]
                                          # merged report + Perfetto trace
-    python -m repro bench [--only SUITE ...]    # regenerate BENCH_*.json
     python -m repro train --model-out M.npz     # train once, save the model
     python -m repro predict --model M.npz       # predict anywhere
     python -m repro serve --tenants 256 --chaos 'flood=0.1,stall=0.05'
@@ -503,6 +502,24 @@ def main_predict(argv: list[str]) -> int:
     return 0
 
 
+def _synthetic_soak_dataset():
+    """The deterministic, learnable window set ``repro serve`` trains on
+    without ``--model``; synthetic, so no simulator time is spent.
+
+    The rng stream name seeds the default soak model; renaming it
+    changes that model.
+    """
+    from repro.common.rng import derive_rng
+    from repro.core.dataset import Dataset
+
+    rng = derive_rng(0, "bench-train-dataset")
+    X = rng.normal(size=(240, 7, 10))
+    y = (X[:, :, :3].mean(axis=(1, 2))
+         + 0.3 * rng.normal(size=len(X)) > 0).astype(int)
+    X[y == 1, :, :3] += 0.5
+    return Dataset(X, y, feature_names=tuple(f"f{i}" for i in range(10)))
+
+
 def main_serve(argv: list[str]) -> int:
     """``python -m repro serve`` — run the multi-tenant service soak."""
     parser = argparse.ArgumentParser(
@@ -591,12 +608,11 @@ def main_serve(argv: list[str]) -> int:
         except (OSError, ValueError, KeyError) as exc:
             return _fail(f"cannot load model {args.model}: {exc}")
     else:
-        from repro.bench import bench_train_dataset
         from repro.core.nn.train import TrainConfig
 
         print("(no --model given: training a small synthetic model)")
         predictor = InterferencePredictor.train(
-            bench_train_dataset(),
+            _synthetic_soak_dataset(),
             config=TrainConfig(epochs=10, patience=5, seed=0), restarts=1)
 
     report = run_soak(predictor.deploy(), n_tenants=args.tenants,
@@ -636,10 +652,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "obs":
         return main_obs(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench import main as main_bench
-
-        return main_bench(argv[1:])
     if argv and argv[0] == "train":
         return main_train(argv[1:])
     if argv and argv[0] == "predict":

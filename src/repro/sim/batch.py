@@ -13,19 +13,24 @@ timeout per granted group, batched network flows
 (:meth:`MDS.handle_fast`) — firing one completion event per *operation*
 instead of one per request.
 
-Equivalence contract (validated in ``tests/sim/test_batch_backend.py``
-and ``tests/experiments``): every **primitive timing event** — RPC
-latency timeouts, network flow completions, block-device service
-timeouts, cache memcpy timeouts, QoS grants — is issued at the identical
-simulated instant as on the event path; only the same-timestamp
-bookkeeping ticks between them (process inits, semaphore grant events,
-AllOf conjunctions) disappear. State mutations therefore happen at the
-same timestamps in the same relative order, and per-window vectors,
-labels and server samples match the event backend to float precision.
+Intended equivalence: every **primitive timing event** — RPC latency
+timeouts, network flow completions, block-device service timeouts, cache
+memcpy timeouts, QoS grants — is issued at the identical simulated
+instant as on the event path; only the same-timestamp bookkeeping ticks
+between them (process inits, semaphore grant events, AllOf
+conjunctions) disappear. Under single-instance noise this holds bit for
+bit (``tests/sim/test_batch_backend.py``). It does not hold in general:
+with two ``mdt-hard-write`` noise instances (ROADMAP item 1's
+reproducer) the first 3,890 of 4,233 MDT journal submissions match, then
+the next lands at t=1.056788 s here and t=1.056838 s on the event path —
+exactly one CLOSE service time (50 µs) apart — because the two paths
+grant same-instant MDS service threads in a different order (DESIGN.md
+§9).
+
 There is no per-request service noise to draw — the simulator's only RNG
 sits in workload op generation (``derive_rng``), which is backend
 independent; if service noise is ever added it must be drawn in array
-order from a ``derive_rng`` stream to keep this contract (DESIGN.md §9).
+order from a ``derive_rng`` stream, or the backends diverge further.
 
 The event backend remains authoritative for anything that needs
 per-request observability: per-RPC trace spans, and future fault hooks

@@ -108,6 +108,21 @@ def test_append_touches_only_new_pairs(tmp_path):
     assert np.array_equal(bank.X, in_memory.X)
     assert bank.sources == in_memory.sources
 
+    # Append cost does not grow with store size: requesting only a new
+    # pair from a store already holding three simulates that one pair
+    # (its baseline and interfered run) and scans only its own shards.
+    newest = Scenario("noise3", (InterferenceSpec(
+        "ior-easy-read", instances=2, ranks=2, scale=0.2),))
+    only_new = DatasetStore(tmp_path / "store")
+    executor = SweepExecutor()
+    only_new.build_bank(small_targets(), [newest], config, executor=executor)
+    assert only_new.last_build["missing_pairs"] == 1
+    assert only_new.last_build["reused_pairs"] == 0
+    assert executor.runs_executed == 2
+    assert only_new.shards_written >= 1
+    assert only_new.shards_scanned == only_new.shards_written
+    assert len(only_new) == 4
+
 
 def test_assembled_x_is_readonly_memmap(tmp_path):
     config = small_config()

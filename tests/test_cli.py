@@ -212,12 +212,6 @@ def test_bad_sim_backend_rejected(capsys):
         main(["table2", "--sim-backend", "vectorised"])
 
 
-def test_bench_subcommand_dispatches():
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--help"])
-    assert exc.value.code == 0
-
-
 def test_train_requires_model_out():
     with pytest.raises(SystemExit):
         main(["train"])
