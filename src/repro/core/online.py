@@ -73,14 +73,6 @@ class StreamingPredictor:
     #: its vector is trusted; below it, fall back to the last good
     #: prediction with ``stale=True``.  0 disables the fallback.
     min_completeness: float = 0.0
-    #: Score windows through the fused deployment path
-    #: (:meth:`InterferencePredictor.deploy`): the normaliser is folded
-    #: into the first kernel layer and every forward pass runs in
-    #: preallocated buffers, so the per-window hot path does no
-    #: normalisation pass and no allocation.  Equal to the unfused path
-    #: up to float rounding; disable to score through the predictor
-    #: directly.
-    fused: bool = True
 
     predictions: list[WindowPrediction] = field(default_factory=list)
     _record_cursor: int = field(default=0, repr=False)
@@ -90,6 +82,11 @@ class StreamingPredictor:
     _window_samples: dict[tuple[int, ServerId], list[dict]] = field(
         default_factory=dict, repr=False)
     _started: bool = field(default=False, repr=False)
+    #: Windows score through the fused deployment path
+    #: (:meth:`InterferencePredictor.deploy`): the normaliser is folded
+    #: into the first kernel layer and every forward pass runs in
+    #: preallocated buffers, so the per-window hot path does no
+    #: normalisation pass and no allocation.
     _scorer: object = field(default=None, repr=False)
     _last_good: WindowPrediction | None = field(default=None, repr=False)
     _emitted_through: int = field(default=-1, repr=False)
@@ -105,8 +102,7 @@ class StreamingPredictor:
         if not 0.0 <= self.min_completeness <= 1.0:
             raise ValueError("min_completeness must be in [0, 1]")
         self._started = True
-        self._scorer = (self.predictor.deploy() if self.fused
-                        else self.predictor)
+        self._scorer = self.predictor.deploy()
         self.cluster.env.process(self._loop())
 
     # -- incremental ingestion --------------------------------------------------

@@ -79,14 +79,13 @@ def _permute_servers(X: np.ndarray, seed: int) -> np.ndarray:
 def _train_kernel(train_set: Dataset, thresholds: tuple[float, ...],
                   seed: int, trainer: "TrainExecutor | None",
                   restarts: int = 3) -> InterferencePredictor:
-    """The kernel-net arm: through the training executor when given."""
-    if trainer is not None:
-        return trainer.train_predictor(train_set, thresholds=thresholds,
-                                       config=TrainConfig(seed=seed),
-                                       seed=seed, restarts=restarts)
-    return InterferencePredictor.train(train_set, thresholds,
-                                       config=TrainConfig(seed=seed),
-                                       seed=seed, restarts=restarts)
+    """The kernel-net arm, through the training executor."""
+    from repro.parallel import TrainExecutor
+
+    trainer = trainer or TrainExecutor()
+    return trainer.train_predictor(train_set, thresholds=thresholds,
+                                   config=TrainConfig(seed=seed),
+                                   seed=seed, restarts=restarts)
 
 
 def run_model_ablation(
@@ -166,23 +165,16 @@ def run_feature_ablation(
                           feature_names=tuple(
                               f"f{i}" for i in range(X.shape[2])))
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
+    from repro.parallel import TrainExecutor, TrainJob
 
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds,
-                     config=TrainConfig(seed=seed), seed=seed)
-            for train_set, _ in splits.values()
-        ])
-        if any(p is None for p in predictors):
-            raise RuntimeError("feature-ablation training quarantined")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds,
-                                        config=TrainConfig(seed=seed),
-                                        seed=seed)
-            for train_set, _ in splits.values()
-        ]
+    trainer = trainer or TrainExecutor()
+    predictors = trainer.train_predictors([
+        TrainJob(train_set, thresholds=thresholds,
+                 config=TrainConfig(seed=seed), seed=seed)
+        for train_set, _ in splits.values()
+    ])
+    if any(p is None for p in predictors):
+        raise RuntimeError("feature-ablation training quarantined")
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1
@@ -250,7 +242,8 @@ def run_window_size_ablation(
     post-processing), so with a cache attached every arm whose
     ``sample_interval`` is unchanged re-bins the first arm's simulation
     sweep instead of re-running it.  All arms' models then train as one
-    batch: with a ``trainer`` the grid's restarts share the worker pool.
+    batch: with a parallel ``trainer`` the grid's restarts share its
+    workers.
     """
     from dataclasses import replace
 
@@ -266,23 +259,16 @@ def run_window_size_ablation(
         dataset = bank_to_dataset(bank, thresholds)
         arm = f"window={ws:g}s (n={len(dataset)})"
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
+    from repro.parallel import TrainExecutor, TrainJob
 
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds,
-                     config=TrainConfig(seed=seed), seed=seed)
-            for train_set, _ in splits.values()
-        ])
-        if any(p is None for p in predictors):
-            raise RuntimeError("window-size ablation training quarantined")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds,
-                                        config=TrainConfig(seed=seed),
-                                        seed=seed)
-            for train_set, _ in splits.values()
-        ]
+    trainer = trainer or TrainExecutor()
+    predictors = trainer.train_predictors([
+        TrainJob(train_set, thresholds=thresholds,
+                 config=TrainConfig(seed=seed), seed=seed)
+        for train_set, _ in splits.values()
+    ])
+    if any(p is None for p in predictors):
+        raise RuntimeError("window-size ablation training quarantined")
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1

@@ -26,7 +26,6 @@ from repro.core.labeling import BINARY_THRESHOLDS
 from repro.core.metrics import ClassificationReport, evaluate
 from repro.core.nn.attention import SetTransformerClassifier
 from repro.core.nn.train import TrainConfig, train_classifier
-from repro.core.predictor import InterferencePredictor
 from repro.experiments.datagen import bank_to_dataset, collect_windows
 from repro.experiments.fig3 import DEFAULT_NOISE_TASKS
 from repro.experiments.datagen import standard_scenarios
@@ -112,13 +111,11 @@ def run_cross_cluster(
     train_cfg = TrainConfig(seed=seed)
 
     # Arm 1: the paper's adaptation path — retrain the kernel net on B.
-    if trainer is not None:
-        kernel_b = trainer.train_predictor(train_b,
-                                           thresholds=BINARY_THRESHOLDS,
-                                           config=train_cfg, seed=seed)
-    else:
-        kernel_b = InterferencePredictor.train(train_b, BINARY_THRESHOLDS,
-                                               config=train_cfg, seed=seed)
+    from repro.parallel import TrainExecutor
+
+    trainer = trainer or TrainExecutor()
+    kernel_b = trainer.train_predictor(train_b, thresholds=BINARY_THRESHOLDS,
+                                       config=train_cfg, seed=seed)
     report = kernel_b.evaluate(test_b)
     result.scores["kernel-retrained-on-B"] = report.macro_f1
     result.reports["kernel-retrained-on-B"] = report

@@ -92,10 +92,10 @@ def evaluate_bank(
 ) -> ModelEvalResult:
     """The paper's per-benchmark protocol: 80/20 split, train, evaluate.
 
-    With a ``trainer`` attached, training goes through the
-    :class:`~repro.parallel.TrainExecutor` — restarts fan out over its
-    worker pool and the trained model lands in (or comes from) its model
-    cache — with results bit-identical to the serial loop.
+    Training always goes through a :class:`~repro.parallel.TrainExecutor`
+    (a serial, uncached one when no ``trainer`` is given); a parallel one
+    fans restarts out over its workers and a cached one stores or
+    recalls the model, with results bit-identical to the serial loop.
     """
     return evaluate_banks([(name, bank)], thresholds=thresholds,
                           test_fraction=test_fraction,
@@ -113,10 +113,12 @@ def evaluate_banks(
 ) -> list[ModelEvalResult]:
     """:func:`evaluate_bank` over a grid of banks, trained as one batch.
 
-    With a ``trainer``, all banks' models are submitted together, so the
-    worker pool sees every restart of every cell at once instead of
-    draining one training before starting the next.
+    All banks' models are submitted to the trainer together, so its
+    workers see every restart of every cell at once instead of draining
+    one training before starting the next.
     """
+    from repro.parallel import TrainExecutor, TrainJob
+
     prepared = []
     for name, bank in named_banks:
         dataset = bank_to_dataset(bank, thresholds, source=name)
@@ -124,24 +126,15 @@ def evaluate_banks(
                                                seed=seed)
         prepared.append((name, dataset, train_set, test_set))
     config = train_config or TrainConfig(seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
-
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds, config=config,
-                     seed=seed)
-            for _, _, train_set, _ in prepared
-        ])
-        missing = [prepared[i][0] for i, p in enumerate(predictors)
-                   if p is None]
-        if missing:
-            raise RuntimeError(f"training quarantined for bank(s) {missing}")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds=thresholds,
-                                        config=config, seed=seed)
-            for _, _, train_set, _ in prepared
-        ]
+    trainer = trainer or TrainExecutor()
+    predictors = trainer.train_predictors([
+        TrainJob(train_set, thresholds=thresholds, config=config, seed=seed)
+        for _, _, train_set, _ in prepared
+    ])
+    missing = [prepared[i][0] for i, p in enumerate(predictors)
+               if p is None]
+    if missing:
+        raise RuntimeError(f"training quarantined for bank(s) {missing}")
     return [
         _bank_result(name, predictor, dataset, train_set, test_set,
                      thresholds)

@@ -114,7 +114,7 @@ def run_fig5(
     """Train and evaluate one model per application.
 
     One :class:`repro.parallel.SweepExecutor` is shared across the three
-    applications so the worker pool and run cache see the whole grid;
+    applications so its workers and run cache see the whole grid;
     the per-application models then train as one batch, so with a
     ``trainer`` every restart of every application is in flight at once.
     """

@@ -120,13 +120,11 @@ def _train_predictor(
                            store=store)
     dataset = bank_to_dataset(bank, BINARY_THRESHOLDS, source="robustness")
     train_cfg = TrainConfig(epochs=epochs, seed=config.seed)
-    if trainer is not None:
-        return trainer.train_predictor(dataset,
-                                       thresholds=BINARY_THRESHOLDS,
-                                       config=train_cfg, restarts=2)
-    return InterferencePredictor.train(
-        dataset, BINARY_THRESHOLDS, config=train_cfg, restarts=2,
-    )
+    from repro.parallel import TrainExecutor
+
+    trainer = trainer or TrainExecutor()
+    return trainer.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
+                                   config=train_cfg, restarts=2)
 
 
 def _eval_faulted(

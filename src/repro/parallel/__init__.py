@@ -17,16 +17,19 @@ package removes both without touching determinism:
   of trained :class:`~repro.core.predictor.InterferencePredictor`
   models (the third, labelled windows, is
   :class:`repro.data.DatasetStore`);
-* :mod:`repro.parallel.supervise` — the shared watchdog/retry/quarantine
-  machinery both executors run their children under;
-* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, fanning
-  deduplicated cache misses over a ``multiprocessing`` pool while
+* :mod:`repro.parallel.supervise` — the one way work leaves the parent
+  process: one supervised child per item, at most ``n_jobs`` at once,
+  with the shared watchdog/retry/quarantine machinery;
+* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, running
+  deduplicated cache misses in-process or in supervised children while
   keeping results bit-identical to serial execution;
 * :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, the same
   layering for trainings, parallel at restart granularity and
-  bit-identical to the serial restart loop;
-* :mod:`repro.parallel.workerinit` — the sweep pool's worker
-  initializer (one-time imports and telemetry attach).
+  bit-identical to the serial restart loop.
+
+Each executor has exactly two modes: in-process when ``n_jobs == 1``
+and no watchdog, retries or worker faults are set, supervised children
+otherwise.
 
 Quick use::
 
@@ -70,7 +73,6 @@ from repro.parallel.supervise import (
     run_supervised,
 )
 from repro.parallel.trainer import TrainExecutor, TrainJob
-from repro.parallel.workerinit import init_worker
 
 __all__ = [
     "CACHE_FORMAT",
@@ -88,7 +90,6 @@ __all__ = [
     "canonical_json",
     "dataset_shard_key",
     "dataset_shard_key_material",
-    "init_worker",
     "resolve_n_jobs",
     "run_key",
     "run_key_material",

@@ -102,7 +102,7 @@ def run_key_material(
     never collide with it in the cache.  Worker- and telemetry-level
     faults don't change run content and stay out of the key.  So does
     the executor's parallelism: a run is byte-identical whether it ran
-    in-process or in a ``--jobs`` pool worker.
+    in-process or in a ``--jobs`` worker child.
     """
     interference = tuple(interference)
     cfg = config_to_dict(config)

@@ -1,4 +1,4 @@
-"""Process-pool sweep executor with run-level deduplication and caching.
+"""Sweep executor with run-level deduplication, caching and fan-out.
 
 The experiment sweeps (Figures 3-5, Tables I/II, the ablations) are
 embarrassingly parallel: every (target, scenario) pair is an independent
@@ -13,27 +13,31 @@ in three stacked layers:
    finished runs persist on disk, so the binary and 3-class datasets
    share one simulation sweep across invocations and re-running an
    experiment after a training-side change costs zero simulation time.
-3. **Parallelism** — remaining misses fan out over a ``multiprocessing``
-   pool.  Determinism is free: every stochastic component derives its
+3. **Parallelism** — with ``n_jobs > 1`` remaining misses fan out over
+   at most ``n_jobs`` supervised children
+   (:func:`repro.parallel.supervise.run_supervised`, one child per run).
+   Determinism is free: every stochastic component derives its
    generator via :func:`repro.common.rng.derive_seed` from the experiment
    seed plus a stable string path, never from global or temporal state,
    so a run's outcome depends only on its job spec — not on which worker
    executes it or in what order jobs complete.  Results are returned in
    submission order, making parallel output **bit-identical** to serial.
 
-On top of that sits the **resilience layer**: with ``run_timeout``,
-``retries`` or a :class:`~repro.faults.FaultPlan` with worker faults
-configured, pending runs execute under supervision — one watched child
-process per run, a wall-clock watchdog that terminates overdue workers,
-bounded retry with exponential backoff, and quarantine of runs that keep
-failing.  A sweep with poisoned runs *completes*: ``run_many`` returns
-``None`` in the quarantined slots and :meth:`SweepExecutor.fault_report`
-says exactly what died, how often, and why.  Because every successful
-run lands in the cache the moment it finishes, an interrupted or
-fault-ridden sweep resumes from the cache: re-running it re-executes
-only the runs that never completed.
+There are exactly two ways a run executes: **in-process** (``n_jobs ==
+1``, or a single pending run, and no resilience settings) or in a
+**supervised child**.  The same children carry the **resilience
+layer**: with ``run_timeout``, ``retries`` or a
+:class:`~repro.faults.FaultPlan` with worker faults configured, even a
+serial sweep runs under supervision — a wall-clock watchdog that
+terminates overdue workers, bounded retry with exponential backoff, and
+quarantine of runs that keep failing.  A sweep with poisoned runs
+*completes*: ``run_many`` returns ``None`` in the quarantined slots and
+:meth:`SweepExecutor.fault_report` says exactly what died, how often,
+and why.  Because every successful run lands in the cache the moment it
+finishes, an interrupted or fault-ridden sweep resumes from the cache:
+re-running it re-executes only the runs that never completed.
 
-Worker processes reset the metrics registry, execute, and ship their
+Children reset the metrics registry, execute, and ship their
 registry snapshot back with the run; the parent merges the snapshots
 (type-aware: counters sum, histograms merge bucket-wise, gauges become
 per-worker labeled series) so ``monitor.*``/``sim.*`` counters match
@@ -54,7 +58,6 @@ order workers finish in.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -120,18 +123,18 @@ def _execute_job(item: tuple[str, RunJob, int],
                  trace_ctx: TraceContext | None = None):
     """Worker body: run one job and return (key, run, wall, metrics, aux).
 
-    Runs in a separate process (pool worker or supervised child).  The
-    metrics registry is reset first so the returned snapshot is exactly
-    this job's delta (fork-started workers inherit the parent's state).
+    Runs in a supervised child process.  The metrics registry is reset
+    first so the returned snapshot is exactly this job's delta
+    (fork-started children inherit the parent's state).
     When the parent is tracing it passes a ``trace_ctx``: the worker
     attaches a fresh tracer seeded with it and ships the finished spans
     back in ``aux["trace"]``; otherwise any inherited tracer is detached
-    so fork-started workers never record into the parent's span list.
-    ``aux`` also carries the worker pid and its ``time.monotonic()``
-    start stamp, from which the parent derives queue-wait and execute
-    wall spans.  When a fault plan is supplied, injected worker faults
-    fire *before* the simulation (a killed worker never produces partial
-    results) and simulated-run aborts are threaded into ``execute_run``.
+    so fork-started children never record into the parent's span list.
+    ``aux`` also carries the child's ``time.monotonic()`` start stamp,
+    from which the parent derives queue-wait and execute wall spans.
+    When a fault plan is supplied, injected worker faults fire *before*
+    the simulation (a killed worker never produces partial results) and
+    simulated-run aborts are threaded into ``execute_run``.
     """
     key, job, attempt = item
     worker_tracer = _dist.attach(trace_ctx)
@@ -156,14 +159,8 @@ def _execute_job(item: tuple[str, RunJob, int],
     run = execute_run(job.target, list(job.interference), job.config,
                       seed_salt=job.seed_salt, abort_at=abort_at)
     wall = time.perf_counter() - start
-    aux = {"pid": os.getpid(), "started": started,
-           "trace": _dist.ship(worker_tracer)}
+    aux = {"started": started, "trace": _dist.ship(worker_tracer)}
     return key, run, wall, REGISTRY.snapshot(), aux
-
-
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
@@ -220,33 +217,36 @@ def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
 
 
 def record_batch_telemetry(traced: dict[str, dict],
+                           attempts: dict[str, list[dict]],
                            prefix: str = "parallel") -> None:
     """Publish batch-level executor health gauges from worker telemetry.
 
-    * ``{prefix}.workers_used`` — distinct worker processes that ran jobs;
+    ``traced`` maps each successful job key to its ``"wall"`` seconds;
+    ``attempts`` (from :class:`~repro.parallel.supervise.SupervisionStats`)
+    says which worker slot ran its successful, last attempt.
+
+    * ``{prefix}.workers_used`` — distinct worker slots that ran jobs;
     * ``{prefix}.worker_busy_seconds{{worker=wN}}`` — busy wall seconds
-      per worker slot, indexed by pid order (slots, not pids: labels stay
-      stable run to run even though pids do not);
+      of slot ``N`` (slots, not pids: one child runs per job, but at
+      most ``n_jobs`` run at once, and slot labels are stable);
     * ``{prefix}.straggler_skew`` — slowest run / mean run wall time, the
       load-balance number an operator checks first.
     """
-    walls = [info["wall"] for info in traced.values() if "wall" in info]
-    if not walls:
+    if not traced:
         return
+    walls = [info["wall"] for info in traced.values()]
     mean = sum(walls) / len(walls)
     REGISTRY.gauge(f"{prefix}.straggler_skew").set(
         max(walls) / mean if mean > 0 else 1.0)
     busy: dict[int, float] = {}
-    for info in traced.values():
-        pid = info.get("pid")
-        if pid is not None:
-            busy[pid] = busy.get(pid, 0.0) + info.get("wall", 0.0)
-    if busy:
-        REGISTRY.gauge(f"{prefix}.workers_used").set(len(busy))
-        for slot, pid in enumerate(sorted(busy)):
-            REGISTRY.gauge(
-                f"{prefix}.worker_busy_seconds{{worker=w{slot}}}"
-            ).set(busy[pid])
+    for key, info in traced.items():
+        slot = attempts[key][-1]["slot"]
+        busy[slot] = busy.get(slot, 0.0) + info["wall"]
+    REGISTRY.gauge(f"{prefix}.workers_used").set(len(busy))
+    for slot in sorted(busy):
+        REGISTRY.gauge(
+            f"{prefix}.worker_busy_seconds{{worker=w{slot}}}"
+        ).set(busy[slot])
 
 
 class SweepExecutor:
@@ -255,16 +255,14 @@ class SweepExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker processes.  ``1`` (default) executes in-process;
+        Most runs executing at once.  ``1`` (default) executes
+        in-process; more fans runs out over supervised children;
         ``0``/negative uses every core.
     cache:
         A :class:`RunCache`, a directory path to open one in, or ``None``
         for no persistent cache (in-sweep deduplication still applies).
     salt:
         Extra cache-key salt, appended to the code-version salt.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap on Linux), else ``spawn``.
     run_timeout:
         Wall-clock seconds one run may take before the watchdog kills
         its worker (counts as a failed attempt).  ``None`` disables the
@@ -285,7 +283,7 @@ class SweepExecutor:
 
     def __init__(self, n_jobs: int = 1,
                  cache: RunCache | str | os.PathLike | None = None,
-                 salt: str = "", start_method: str | None = None,
+                 salt: str = "",
                  run_timeout: float | None = None,
                  retries: int = 0,
                  retry_backoff: float = 0.05,
@@ -301,7 +299,6 @@ class SweepExecutor:
             cache = RunCache(cache)
         self.cache = cache
         self.salt = salt
-        self.start_method = start_method or _default_start_method()
         self.run_timeout = run_timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
@@ -337,10 +334,12 @@ class SweepExecutor:
             return self.fault_plan.sim_material()
         return None
 
-    def _needs_supervision(self) -> bool:
-        return (self.run_timeout is not None or self.retries > 0
-                or (self.fault_plan is not None
-                    and self.fault_plan.has_worker_faults))
+    def _in_process(self, n_runs: int) -> bool:
+        """Whether ``n_runs`` pending runs execute in this process."""
+        return (self.run_timeout is None and self.retries == 0
+                and not (self.fault_plan is not None
+                         and self.fault_plan.has_worker_faults)
+                and (self.n_jobs == 1 or n_runs <= 1))
 
     # -- execution --------------------------------------------------------
 
@@ -352,7 +351,6 @@ class SweepExecutor:
         hold ``None``; without failures no slot is ever ``None``.
         """
         wall_hist = REGISTRY.histogram("parallel.run_seconds")
-        wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
         total_counter = REGISTRY.counter("parallel.runs_requested")
         exec_counter = REGISTRY.counter("parallel.runs_executed")
         dedup_counter = REGISTRY.counter("parallel.runs_deduplicated")
@@ -396,82 +394,49 @@ class SweepExecutor:
                 self.n_jobs,
             )
 
-            trace_ctx = (_dist.current_context()
-                         if tracer is not None else None)
-            #: key -> {"submit", "started", "wall", "pid", "trace"} for
-            #: the post-execution span merge (submission-order pass).
-            traced: dict[str, dict] = {}
             with _profile.phase("execute", runs=len(items)):
-                if items and self._needs_supervision():
-                    attempts = self._run_supervised(
-                        items, results, wall_hist, trace_ctx, traced)
-                    if tracer is not None:
-                        emit_job_spans(tracer, [k for k, _ in items],
-                                       traced, attempts)
-                elif items and self.n_jobs > 1 and len(items) > 1:
-                    from repro.parallel.workerinit import init_worker
-
-                    ctx = multiprocessing.get_context(self.start_method)
-                    workers = min(self.n_jobs, len(items))
-                    worker_fn = functools.partial(
-                        _execute_job, plan=self.fault_plan,
-                        trace_ctx=trace_ctx)
-                    submit = time.monotonic()
-                    # One-time per-worker setup (heavy imports, base
-                    # tracer/registry state) runs in the pool
-                    # initializer instead of on every task.
-                    with ctx.Pool(processes=workers,
-                                  initializer=init_worker,
-                                  initargs=(trace_ctx,)) as pool:
-                        for key, run, wall, snapshot, aux in \
-                                pool.imap_unordered(
-                                    worker_fn, [(k, j, 0) for k, j in items],
-                                    chunksize=1):
-                            REGISTRY.merge_snapshot(snapshot,
-                                                    worker=key[:12])
-                            wall_hist.observe(wall)
-                            wait_hist.observe(
-                                max(0.0, aux["started"] - submit))
-                            traced[key] = {"submit": submit, "wall": wall,
-                                           **aux}
-                            self._store(key, pending[key], run)
-                            results[key] = run
-                    if tracer is not None:
-                        emit_job_spans(tracer, [k for k, _ in items], traced)
+                if self._in_process(len(items)):
+                    self._run_in_process(items, results, wall_hist)
                 else:
-                    plan = self.fault_plan
-                    for key, job in items:
-                        abort_at = (plan.run_abort_time(job.target.name,
-                                                        job.seed_salt)
-                                    if plan is not None else None)
-                        start = time.perf_counter()
-                        with _profile.phase("run", target=job.target.name):
-                            run = execute_run(job.target,
-                                              list(job.interference),
-                                              job.config,
-                                              seed_salt=job.seed_salt,
-                                              abort_at=abort_at)
-                        wall_hist.observe(time.perf_counter() - start)
-                        self._store(key, job, run)
-                        results[key] = run
-            record_batch_telemetry(traced)
+                    self._run_supervised(items, results, wall_hist)
 
         return [results.get(key) for key in keys]
 
+    def _run_in_process(self, items: list[tuple[str, RunJob]],
+                        results: dict[str, MonitoredRun],
+                        wall_hist) -> None:
+        """Execute ``items`` one after another in this process."""
+        plan = self.fault_plan
+        for key, job in items:
+            abort_at = (plan.run_abort_time(job.target.name, job.seed_salt)
+                        if plan is not None else None)
+            start = time.perf_counter()
+            with _profile.phase("run", target=job.target.name):
+                run = execute_run(job.target, list(job.interference),
+                                  job.config, seed_salt=job.seed_salt,
+                                  abort_at=abort_at)
+            wall_hist.observe(time.perf_counter() - start)
+            self._store(key, job, run)
+            results[key] = run
+
     def _run_supervised(self, items: list[tuple[str, RunJob]],
                         results: dict[str, MonitoredRun],
-                        wall_hist, trace_ctx=None,
-                        traced: dict[str, dict] | None = None
-                        ) -> dict[str, list[dict]]:
-        """Watchdogged execution via :func:`repro.parallel.supervise`.
+                        wall_hist) -> None:
+        """Execute ``items`` in supervised children, ``n_jobs`` at a time.
 
-        Every pending run gets its own supervised child so a crash or a
+        Every pending run gets its own child via
+        :func:`repro.parallel.supervise.run_supervised`, so a crash or a
         wedge never takes the sweep down; runs that keep failing land in
-        :attr:`quarantined` and the sweep moves on.  Returns the per-key
-        attempt records so the caller can render retry spans.
+        :attr:`quarantined` and the sweep moves on.  Worker spans and
+        batch health gauges are merged in submission order afterwards.
         """
         jobs = dict(items)
         wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
+        tracer = _trace.get()
+        trace_ctx = _dist.current_context() if tracer is not None else None
+        #: key -> {"submit", "started", "wall", "trace"} for the
+        #: post-execution span merge (submission-order pass).
+        traced: dict[str, dict] = {}
         submit = time.monotonic()
 
         def on_success(key: str, payload) -> None:
@@ -479,8 +444,7 @@ class SweepExecutor:
             REGISTRY.merge_snapshot(snapshot, worker=key[:12])
             wall_hist.observe(wall)
             wait_hist.observe(max(0.0, aux["started"] - submit))
-            if traced is not None:
-                traced[key] = {"submit": submit, "wall": wall, **aux}
+            traced[key] = {"submit": submit, "wall": wall, **aux}
             self._store(key, jobs[key], run)
             results[key] = run
 
@@ -488,7 +452,6 @@ class SweepExecutor:
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
                               trace_ctx=trace_ctx),
-            ctx=multiprocessing.get_context(self.start_method),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
@@ -501,7 +464,10 @@ class SweepExecutor:
         self.retries_used += stats.retries_used
         self.timeouts += stats.timeouts
         self.quarantined.update(stats.quarantined)
-        return stats.attempts
+        if tracer is not None:
+            emit_job_spans(tracer, [k for k, _ in items], traced,
+                           stats.attempts)
+        record_batch_telemetry(traced, stats.attempts)
 
     def run_one(self, job: RunJob) -> MonitoredRun | None:
         """Convenience wrapper: a one-job sweep."""

@@ -1,23 +1,28 @@
 """Generic supervised child-process execution.
 
-The resilience machinery that :class:`repro.parallel.SweepExecutor` grew
-for simulation sweeps — one watched child process per unit of work, a
-wall-clock watchdog, bounded retry with exponential backoff, quarantine
-of work that keeps failing — is not simulation-specific.  This module is
-that machinery extracted behind a payload-agnostic interface so the
-training executor (:class:`repro.parallel.TrainExecutor`) runs restarts
-under exactly the same supervision, not a reimplementation of it.
+The one way both executors (:class:`repro.parallel.SweepExecutor` for
+simulation sweeps, :class:`repro.parallel.TrainExecutor` for training
+restarts) run work outside their own process: one watched child process
+per unit of work, at most ``workers`` at a time, a wall-clock watchdog,
+bounded retry with exponential backoff, and quarantine of work that
+keeps failing.  Without a timeout or retries it is simply a bounded
+fan-out; the machinery costs one ``fork`` per item.
 
 The contract: the caller supplies keyed payloads and a picklable
 ``worker(item)`` callable; :func:`run_supervised` runs each payload in
 its own child process and reports every success through ``on_success``.
 Work that still fails after every retry is quarantined — recorded in the
 returned :class:`SupervisionStats` and *not* reported as a result, so a
-batch with poisoned items completes instead of crashing.
+batch with poisoned items completes instead of crashing.  Each child
+runs in a *slot*, the lowest index in ``[0, workers)`` free at its
+launch; attempt records carry it so worker telemetry counts workers,
+not children.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -32,6 +37,11 @@ logger = get_logger("parallel.supervise")
 
 #: Seconds between supervision polls (watchdog granularity).
 POLL_INTERVAL = 0.005
+
+#: Where children start from: ``fork`` where available (cheap on Linux,
+#: nothing to pickle), else ``spawn``.
+CONTEXT = multiprocessing.get_context(
+    "fork" if hasattr(os, "fork") else "spawn")
 
 
 def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
@@ -77,15 +87,16 @@ class SupervisionStats:
     timeouts: int = 0
     #: key -> {**describe(key, payload), "attempts", "errors"}.
     quarantined: dict[str, dict] = field(default_factory=dict)
-    #: key -> per-attempt records, in attempt order: {"attempt",
+    #: key -> per-attempt records, in attempt order: {"attempt", "slot",
     #: "started", "ended" (``time.monotonic()`` stamps), "outcome"
     #: ("ok" | "err" | "timeout"), "error" (failed attempts only)}.
     #: Callers render these as retry/execute spans on a trace timeline.
     attempts: dict[str, list[dict]] = field(default_factory=dict)
 
-    def record_attempt(self, key: str, attempt: int, started: float,
-                       outcome: str, error: str | None = None) -> None:
-        record: dict = {"attempt": attempt, "started": started,
+    def record_attempt(self, key: str, attempt: int, slot: int,
+                       started: float, outcome: str,
+                       error: str | None = None) -> None:
+        record: dict = {"attempt": attempt, "slot": slot, "started": started,
                         "ended": time.monotonic(), "outcome": outcome}
         if error is not None:
             record["error"] = error
@@ -96,7 +107,6 @@ def run_supervised(
     items: list[tuple[str, Any]],
     worker: Callable[[tuple[str, Any, int]], Any],
     *,
-    ctx,
     workers: int,
     on_success: Callable[[str, Any], None],
     run_timeout: float | None = None,
@@ -117,8 +127,8 @@ def run_supervised(
     context fields) and the batch moves on.
 
     ``on_success(key, result)`` fires in the parent, in completion
-    order.  ``worker`` must be picklable when ``ctx`` uses the spawn
-    start method.  Retry/timeout/quarantine counters are published under
+    order.  ``worker`` must be picklable where children start by
+    ``spawn``.  Retry/timeout/quarantine counters are published under
     ``{metric_prefix}.retries`` etc., so the sweep and training
     executors keep distinguishable telemetry from shared machinery.
     """
@@ -130,7 +140,7 @@ def run_supervised(
     workers = max(1, min(workers, len(items))) if items else 0
     #: (key, attempt, ready_at) — ready_at implements retry backoff.
     queue: list[tuple[str, int, float]] = [(key, 0, 0.0) for key, _ in items]
-    #: key -> (proc, conn, deadline, attempt, started_at)
+    #: key -> (proc, conn, deadline, attempt, started_at, slot)
     active: dict[str, tuple] = {}
     errors: dict[str, list[str]] = {}
 
@@ -170,19 +180,21 @@ def run_supervised(
             if ready_idx is None:
                 break
             key, attempt, _ = queue.pop(ready_idx)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
+            busy = {entry[5] for entry in active.values()}
+            slot = min(s for s in range(workers) if s not in busy)
+            parent_conn, child_conn = CONTEXT.Pipe(duplex=False)
+            proc = CONTEXT.Process(
                 target=supervised_entry,
                 args=(child_conn, worker, (key, payloads[key], attempt)),
             )
             proc.start()
             child_conn.close()
             deadline = now + run_timeout if run_timeout is not None else None
-            active[key] = (proc, parent_conn, deadline, attempt, now)
+            active[key] = (proc, parent_conn, deadline, attempt, now, slot)
             progressed = True
         # Harvest finished / dead / overdue children.
         for key in list(active):
-            proc, conn, deadline, attempt, started = active[key]
+            proc, conn, deadline, attempt, started, slot = active[key]
             if conn.poll():
                 try:
                     kind, payload = conn.recv()
@@ -193,10 +205,10 @@ def run_supervised(
                 del active[key]
                 progressed = True
                 if kind == "ok":
-                    stats.record_attempt(key, attempt, started, "ok")
+                    stats.record_attempt(key, attempt, slot, started, "ok")
                     on_success(key, payload)
                 else:
-                    stats.record_attempt(key, attempt, started, "err",
+                    stats.record_attempt(key, attempt, slot, started, "err",
                                          error=str(payload))
                     fail(key, attempt, str(payload))
             elif not proc.is_alive():
@@ -205,7 +217,7 @@ def run_supervised(
                 del active[key]
                 progressed = True
                 message = f"worker died silently (exitcode {proc.exitcode})"
-                stats.record_attempt(key, attempt, started, "err",
+                stats.record_attempt(key, attempt, slot, started, "err",
                                      error=message)
                 fail(key, attempt, message)
             elif deadline is not None and now > deadline:
@@ -218,7 +230,7 @@ def run_supervised(
                 timeout_counter.inc()
                 message = (f"timeout after {now - started:.2f}s "
                            f"(limit {run_timeout}s)")
-                stats.record_attempt(key, attempt, started, "timeout",
+                stats.record_attempt(key, attempt, slot, started, "timeout",
                                      error=message)
                 fail(key, attempt, message)
         if not progressed:

@@ -13,8 +13,9 @@ the training stack with the same three stacked layers:
 2. **Caching** — with a :class:`~repro.parallel.modelcache.ModelCache`
    attached, trained predictors persist on disk; a warm rerun of an
    experiment executes **zero** trainings.
-3. **Parallelism** — the unit of parallel work is one *restart*, so even
-   a single training run with ``restarts=3`` fans out.  Restart ``r`` of
+3. **Parallelism** — with ``n_jobs > 1`` the unit of parallel work is
+   one *restart*, run in its own supervised child, so even a single
+   training run with ``restarts=3`` fans out.  Restart ``r`` of
    a run seeded ``s`` derives its initialisation from
    :func:`repro.core.nn.train.restart_seed` and trains on the same
    normalised tensor whichever process executes it, and the parent
@@ -22,18 +23,18 @@ the training stack with the same three stacked layers:
    (strictly-lower validation score, ties to the lowest restart index) —
    making parallel results **bit-identical** to the serial loop.
 
-The resilience layer is shared, not reimplemented: with ``run_timeout``
-or ``retries`` configured, restarts execute under
-:func:`repro.parallel.supervise.run_supervised` — the same watchdog,
-retry-with-backoff and quarantine machinery the sweep executor uses.  A
-job any of whose restarts was quarantined yields ``None`` instead of
-crashing the experiment.
+There are exactly two ways a training executes: **in-process**, through
+the serial restart loop itself (``n_jobs == 1`` or a single restart, and
+no ``run_timeout``/``retries``), or restart by restart in children under
+:func:`repro.parallel.supervise.run_supervised` — the same fan-out,
+watchdog, retry-with-backoff and quarantine machinery the sweep executor
+uses.  A job any of whose restarts was quarantined yields ``None``
+instead of crashing the experiment.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.parallel.cachekey import train_key, train_key_material
 from repro.parallel.executor import (
-    _default_start_method,
     emit_job_spans,
     record_batch_telemetry,
     resolve_n_jobs,
@@ -84,8 +84,8 @@ class TrainJob:
 def _train_restart_task(item, trace_ctx: TraceContext | None = None):
     """Worker body: train one restart, return it with its telemetry.
 
-    Runs in a pool worker or supervised child.  The metrics registry is
-    reset first so the returned snapshot is exactly this restart's delta.
+    Runs in a supervised child.  The metrics registry is reset first so
+    the returned snapshot is exactly this restart's delta.
     With a ``trace_ctx`` the worker attaches a fresh tracer and ships its
     finished spans back in ``aux["trace"]``; without one any inherited
     tracer is detached — same protocol as the sweep executor's workers.
@@ -103,8 +103,7 @@ def _train_restart_task(item, trace_ctx: TraceContext | None = None):
         seed=seed, restart=restart, normalizer=normalizer,
     )
     wall = time.perf_counter() - start
-    aux = {"pid": os.getpid(), "started": started,
-           "trace": _dist.ship(worker_tracer)}
+    aux = {"started": started, "trace": _dist.ship(worker_tracer)}
     return task_key, score, model, history, wall, REGISTRY.snapshot(), aux
 
 
@@ -114,17 +113,15 @@ class TrainExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker processes.  ``1`` (default) trains in-process via the
-        serial restart loop; ``0``/negative uses every core.
+        Most restarts training at once.  ``1`` (default) trains
+        in-process via the serial restart loop; more fans restarts out
+        over supervised children; ``0``/negative uses every core.
     cache:
         A :class:`ModelCache`, a directory path to open one in, or
         ``None`` for no persistent cache (in-batch deduplication still
         applies).
     salt:
         Extra cache-key salt, appended to the code-version salt.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available, else ``spawn``.
     run_timeout:
         Wall-clock seconds one *restart* may take before the watchdog
         kills its worker.  ``None`` disables the watchdog.
@@ -136,7 +133,7 @@ class TrainExecutor:
 
     def __init__(self, n_jobs: int = 1,
                  cache: ModelCache | str | os.PathLike | None = None,
-                 salt: str = "", start_method: str | None = None,
+                 salt: str = "",
                  run_timeout: float | None = None,
                  retries: int = 0,
                  retry_backoff: float = 0.05) -> None:
@@ -151,7 +148,6 @@ class TrainExecutor:
             cache = ModelCache(cache)
         self.cache = cache
         self.salt = salt
-        self.start_method = start_method or _default_start_method()
         self.run_timeout = run_timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
@@ -177,8 +173,10 @@ class TrainExecutor:
                                   job.kernel_hidden, job.head_hidden,
                                   job.seed, job.restarts, salt=self.salt)
 
-    def _needs_supervision(self) -> bool:
-        return self.run_timeout is not None or self.retries > 0
+    def _in_process(self, n_restarts: int) -> bool:
+        """Whether ``n_restarts`` pending restarts train in this process."""
+        return (self.run_timeout is None and self.retries == 0
+                and (self.n_jobs == 1 or n_restarts == 1))
 
     # -- execution --------------------------------------------------------
 
@@ -254,8 +252,7 @@ class TrainExecutor:
                 self.trainings_executed += n_restarts
                 exec_counter.inc(n_restarts)
                 with _profile.phase("execute", restarts=n_restarts):
-                    if not self._needs_supervision() and (
-                            self.n_jobs == 1 or n_restarts == 1):
+                    if self._in_process(n_restarts):
                         self._train_serial(pending, results)
                     else:
                         self._train_parallel(pending, results)
@@ -280,7 +277,7 @@ class TrainExecutor:
 
     def _train_parallel(self, pending: dict[str, TrainJob],
                         results: dict[str, InterferencePredictor]) -> None:
-        """Fan restarts over worker processes; select best per job.
+        """Fan restarts over supervised children; select best per job.
 
         The normaliser is fitted once per job in the parent — exactly as
         the serial loop does — and shipped (fitted, not applied) with
@@ -329,40 +326,29 @@ class TrainExecutor:
             key, _, rtag = task_key.rpartition("/r")
             trained[key][int(rtag)] = (score, model, history)
 
-        attempts: dict[str, list[dict]] = {}
-        if self._needs_supervision():
-            stats = run_supervised(
-                tasks, worker_fn,
-                ctx=multiprocessing.get_context(self.start_method),
-                workers=self.n_jobs,
-                on_success=lambda _key, payload: harvest(payload),
-                run_timeout=self.run_timeout,
-                retries=self.retries,
-                retry_backoff=self.retry_backoff,
-                describe=lambda task_key, _p: {
-                    "seed": pending[task_key.rpartition("/r")[0]].seed,
-                    "restarts": pending[task_key.rpartition("/r")[0]].restarts,
-                },
-                metric_prefix="parallel.train",
-            )
-            self.retries_used += stats.retries_used
-            self.timeouts += stats.timeouts
-            attempts = stats.attempts
-            for task_key, info in stats.quarantined.items():
-                key = task_key.rpartition("/r")[0]
-                self.quarantined.setdefault(key, info)
-        else:
-            ctx = multiprocessing.get_context(self.start_method)
-            workers = min(self.n_jobs, len(tasks))
-            with ctx.Pool(processes=workers) as pool:
-                for payload in pool.imap_unordered(
-                        worker_fn,
-                        [(k, p, 0) for k, p in tasks], chunksize=1):
-                    harvest(payload)
+        stats = run_supervised(
+            tasks, worker_fn,
+            workers=self.n_jobs,
+            on_success=lambda _key, payload: harvest(payload),
+            run_timeout=self.run_timeout,
+            retries=self.retries,
+            retry_backoff=self.retry_backoff,
+            describe=lambda task_key, _p: {
+                "seed": pending[task_key.rpartition("/r")[0]].seed,
+                "restarts": pending[task_key.rpartition("/r")[0]].restarts,
+            },
+            metric_prefix="parallel.train",
+        )
+        self.retries_used += stats.retries_used
+        self.timeouts += stats.timeouts
+        for task_key, info in stats.quarantined.items():
+            key = task_key.rpartition("/r")[0]
+            self.quarantined.setdefault(key, info)
         if tracer is not None:
             emit_job_spans(tracer, [k for k, _ in tasks], traced,
-                           attempts, span_prefix="train")
-        record_batch_telemetry(traced, prefix="parallel.train")
+                           stats.attempts, span_prefix="train")
+        record_batch_telemetry(traced, stats.attempts,
+                               prefix="parallel.train")
 
         for key, job in pending.items():
             restarts = trained[key]

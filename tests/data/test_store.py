@@ -2,8 +2,8 @@
 
 The load-bearing contract: a store-built dataset is bit-identical —
 ``content_digest()`` equal — to the in-memory ``collect_windows`` path,
-on every simulator backend, serial or through a process pool, and a warm rebuild performs
-zero simulations and zero re-aggregations.
+on every simulator backend, serial or through worker children, and a
+warm rebuild performs zero simulations and zero re-aggregations.
 """
 
 import dataclasses

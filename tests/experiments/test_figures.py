@@ -5,6 +5,8 @@ structure, not the paper-shape claims (the benchmarks do that at full
 scale).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,24 @@ class TestFig3Fig4:
         result = evaluate_bank(tiny_bank, "tiny-3class", MULTICLASS_THRESHOLDS)
         assert result.report.confusion.shape == (3, 3)
         assert len(result.train_counts) == 3
+
+    def test_default_trainer_matches_parallel_trainer(self, tiny_bank):
+        """With no trainer, evaluate_bank trains through a serial
+        TrainExecutor; a 2-worker one must give the same model."""
+        from repro.parallel import TrainExecutor
+
+        def param_digest(predictor):
+            h = hashlib.sha256()
+            for param in predictor.model.params():
+                h.update(np.ascontiguousarray(param.value).tobytes())
+            return h.hexdigest()
+
+        serial = evaluate_bank(tiny_bank, "tiny-binary")
+        parallel = evaluate_bank(tiny_bank, "tiny-binary",
+                                 trainer=TrainExecutor(n_jobs=2))
+        assert param_digest(serial.predictor) == \
+            param_digest(parallel.predictor)
+        assert serial.report.macro_f1 == parallel.report.macro_f1
 
     def test_run_fig3_accepts_prebuilt_bank(self, tiny_bank):
         result = run_fig3_io500(bank=tiny_bank)

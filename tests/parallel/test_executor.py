@@ -122,35 +122,9 @@ def test_stats_shape(tmp_path):
     assert SweepExecutor().stats()["cache"] is None
 
 
-def test_init_worker_attach_and_detach():
-    """The pool initializer installs exactly the tracer state a worker
-    needs: a fresh tracer under the parent's trace id when traced, no
-    tracer at all (even a fork-inherited one) when untraced — and the
-    heavy simulation modules are hot either way."""
-    import sys
-
-    from repro.obs import trace as _trace
-    from repro.obs.distributed import TraceContext
-    from repro.parallel import init_worker
-
-    saved = _trace.get()
-    try:
-        tracer = init_worker(TraceContext(trace_id="t-init",
-                                          worker="w0").to_dict())
-        assert tracer is not None and tracer.trace_id == "t-init"
-        assert _trace.get() is tracer
-        assert "repro.experiments.runner" in sys.modules
-        assert "repro.sim.batch" in sys.modules
-
-        assert init_worker(None) is None
-        assert _trace.get() is None  # inherited tracer detached
-    finally:
-        _trace.TRACER = saved
-
-
-def test_pool_initializer_keeps_parallel_results_identical():
-    """Moving one-time setup into the initializer must not change what
-    the pool produces: same banks as serial, still bit for bit."""
+def test_parallel_banks_identical_to_serial():
+    """Supervised children at ``n_jobs=2`` produce the same banks as the
+    in-process path, bit for bit."""
     serial = collect_windows(small_targets(), small_scenarios(),
                              small_config(), n_jobs=1)
     pooled = collect_windows(small_targets(), small_scenarios(),
